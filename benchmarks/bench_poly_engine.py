@@ -36,7 +36,13 @@ from repro.polyhedra import (
     set_default_prune_level,
     stats,
 )
-from workloads import lu_compiled
+from workloads import (
+    PARENT_LU_COLD_SECONDS,
+    PARENT_LU_LINEXPR_CONSTRUCTIONS,
+    lu_cold_compile,
+    lu_compiled,
+    lu_linexpr_constructions,
+)
 
 BENCH_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCH_poly.json")
 
@@ -183,12 +189,12 @@ def test_rsd_blowup_pruning(report):
 # Workload 2: LU compile time (paper Section 7)
 # ---------------------------------------------------------------------------
 
-def _time_lu(repeats=3):
+def _time_lu(repeats=3, compile_lu=lambda: lu_compiled()[2]):
     best = float("inf")
     last = None
     for _ in range(repeats):
         start = time.perf_counter()
-        last = lu_compiled()[2]
+        last = compile_lu()
         best = min(best, time.perf_counter() - start)
     return best, last
 
@@ -201,6 +207,12 @@ def test_lu_compile_ablation(report):
         pruned_time, pruned_spmd = _time_lu()
         pruned = stats.snapshot()
 
+    # the shipped engine, every compile cold (``_time_lu`` above lets
+    # the memos warm up across its repeats): the figure PR 12's
+    # single-pass arithmetic kernel moved, next to its own "before"
+    cold_time, _ = _time_lu(7, lu_cold_compile)
+    constructions = lu_linexpr_constructions()
+
     assert_same_commsets(naive_spmd, pruned_spmd)
     reduction = naive["pairs_materialized"] / pruned["pairs_materialized"]
     speedup = naive_time / pruned_time
@@ -211,7 +223,15 @@ def test_lu_compile_ablation(report):
            f"{pruned['pairs_materialized'] // 3} constraints/compile")
     report(f"constraint reduction: {reduction:.2f}x, "
            f"compile speedup: {speedup:.2f}x")
+    report(f"cold compile, shipped engine: best of 7: {cold_time:.3f}s "
+           f"(before the single-pass kernel: {PARENT_LU_COLD_SECONDS:.3f}s)")
+    report(f"LinExpr constructions per cold compile: {constructions} "
+           f"(before: {PARENT_LU_LINEXPR_CONSTRUCTIONS})")
     _save("lu_compile", {
+        "cold_seconds_before": PARENT_LU_COLD_SECONDS,
+        "cold_seconds_after": round(cold_time, 4),
+        "linexpr_constructions_before": PARENT_LU_LINEXPR_CONSTRUCTIONS,
+        "linexpr_constructions_after": constructions,
         "naive_seconds": round(naive_time, 4),
         "pruned_seconds": round(pruned_time, 4),
         "naive_materialized": naive["pairs_materialized"],

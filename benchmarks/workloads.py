@@ -2,7 +2,13 @@
 
 from repro import block_loop, generate_spmd, onto, parse
 from repro.codegen import SPMDOptions
-from repro.polyhedra import var
+from repro.polyhedra import (
+    affine,
+    diskcache,
+    feasibility_cache_clear,
+    projection_cache_clear,
+    var,
+)
 from repro.runtime import CostModel
 from repro.service import CompileJob
 
@@ -98,6 +104,49 @@ def lu_compiled(options=None):
     comps = {"s1": onto(s1, [var("i2")])}
     comps["s2"] = onto(s2, [var("i2")], space=comps["s1"].space)
     return program, comps, generate_spmd(program, comps, options=options)
+
+
+def lu_cold_compile():
+    """A true cold LU compile: no persistent store, both in-memory
+    polyhedral memos cleared, so the figure stays comparable as cache
+    tiers grow (the service benchmark measures the cached paths)."""
+    assert diskcache.active() is None
+    projection_cache_clear()
+    feasibility_cache_clear()
+    return lu_compiled()[2]
+
+
+#: one cold LU compile on the commit before the arithmetic kernel was
+#: rebuilt (2ffd41e), measured there by the same two recipes the
+#: benchmarks use here: best-of-7 ``lu_cold_compile`` wall time, and
+#: trips through the ``LinExpr`` constructor (then ``LinExpr.__new__``).
+PARENT_LU_COLD_SECONDS = 0.409
+PARENT_LU_LINEXPR_CONSTRUCTIONS = 171_246
+
+
+def lu_linexpr_constructions():
+    """Trips through the ``LinExpr`` constructor in one cold LU compile.
+
+    Counted from outside, by rebinding the trusted constructor every
+    operator funnels into for the duration of one compile -- there is
+    no counter on the hot path.  Intern-table hits count too: the figure
+    is how often an expression was *asked for*, which does not depend on
+    what earlier code left alive.
+    """
+    real = affine._intern
+    trips = 0
+
+    def counted(*args):
+        nonlocal trips
+        trips += 1
+        return real(*args)
+
+    affine._intern = counted
+    try:
+        lu_cold_compile()
+    finally:
+        affine._intern = real
+    return trips
 
 
 def service_job(workload, block=16, vectorize=False):

@@ -43,10 +43,13 @@ from ..ir import Loop, Program, Statement
 from ..polyhedra import (
     EmptyPolyhedronError,
     LinExpr,
+    InfeasibleError,
     Lin,
+    ScanLoop,
     ScanResult,
     System,
     eliminate_many,
+    integer_feasible,
     scan,
 )
 from .cast import (
@@ -64,11 +67,13 @@ from .cast import (
     CSend,
     CSendMulti,
     CUnpack,
+    CVirtLoop,
     compile_node_program,
     emit_c,
     fresh_buffer,
 )
 from .genloops import (
+    _wrap_level,
     guards_from_system,
     scan_to_cast,
     scan_to_cast_with_boundary,
@@ -168,18 +173,17 @@ def _unique_given_prefix(
     variable and everything after it, force a strict difference, and
     ask the integer test for a solution.
     """
-    from ..polyhedra import LinExpr as LE
-    from ..polyhedra import integer_feasible
-
     var = order[pos]
-    later = [v for v in system.variables() if v not in set(order[:pos])]
-    rename = {v: v + "$dup" for v in later}
+    prefix = set(order[:pos])
+    rename = {
+        v: v + "$dup" for v in system.variables() if v not in prefix
+    }
     try:
         probe = system.intersect(system.rename(rename))
         probe.add_inequality(
-            LE.var(var + "$dup") - LE.var(var) - 1
+            LinExpr.var(var + "$dup") - LinExpr.var(var) - 1
         )
-    except Exception:
+    except InfeasibleError:
         return True  # syntactically impossible to differ
     if context is not None:
         probe = probe.intersect(context)
@@ -545,13 +549,6 @@ def _carried_fragments(
     return send_frag, recv_frag
 
 
-def _tag_layout_note() -> str:
-    return (
-        "message tags: (label, virtual sender dims, sender outer "
-        "iteration, [virtual receiver dims])"
-    )
-
-
 def _preload_fragments(
     cs: CommSet,
     pvars: Tuple[str, ...],
@@ -783,26 +780,17 @@ def _build_master(
                 refined = first
         body = build_body(loop.body, loop)
         if refined is not None:
-            from .genloops import _wrap_level
-
             return _wrap_level(refined, body, {})
-        from ..polyhedra import ScanLoop
-
         plain = ScanLoop(
             loop.var,
             lowers=[(1, loop.lower)],
             uppers=[(1, loop.upper)],
         )
-        from .genloops import _wrap_level
-
         return _wrap_level(plain, body, {})
 
     nest = build_body(program.body, None)
 
     # wrap in virtual processor loops (innermost dim innermost)
-    from ..polyhedra import ScanLoop
-    from .cast import CVirtLoop
-
     space = next(iter(comps.values())).space
     wrapped: CNode = nest
     pdomain = space.virtual_domain(pvars)

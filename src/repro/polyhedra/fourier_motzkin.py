@@ -57,31 +57,27 @@ def extract_bounds(system: System, name: str) -> VarBounds:
     """Split ``system`` into lower/upper bounds on ``name`` and the rest."""
     lowers: List[Tuple[int, LinExpr]] = []
     uppers: List[Tuple[int, LinExpr]] = []
-    rest = System()
+    rest_eqs: List[LinExpr] = []
+    rest_ineqs: List[LinExpr] = []
     for eq in system.equalities:
-        coeff = eq.coeff(name)
+        coeff, bound = eq.split(name)
         if coeff == 0:
-            rest.add_equality(eq)
-            continue
-        # a*v + rest == 0  =>  a*v == -rest : both a lower and an upper bound
-        other = eq - LinExpr.var(name, coeff)
-        if coeff > 0:
-            lowers.append((coeff, -other))
-            uppers.append((coeff, -other))
+            rest_eqs.append(eq)
         else:
-            lowers.append((-coeff, other))
-            uppers.append((-coeff, other))
+            # a*v == bound: both a lower and an upper bound
+            pair = (abs(coeff), bound)
+            lowers.append(pair)
+            uppers.append(pair)
     for ineq in system.inequalities:
-        coeff = ineq.coeff(name)
-        other = ineq - LinExpr.var(name, coeff)
+        coeff, bound = ineq.split(name)
         if coeff == 0:
-            rest.add_inequality(ineq)
+            rest_ineqs.append(ineq)
         elif coeff > 0:
-            # coeff*v + other >= 0  =>  coeff*v >= -other
-            lowers.append((coeff, -other))
+            lowers.append((coeff, bound))   # coeff*v >= bound
         else:
-            # -|coeff|*v + other >= 0  =>  |coeff|*v <= other
-            uppers.append((-coeff, other))
+            uppers.append((-coeff, bound))  # |coeff|*v <= bound
+    # sub-lists of a system's constraints: normal and unique already
+    rest = System.of_normal(rest_eqs, rest_ineqs)
     return VarBounds(name, lowers, uppers, rest)
 
 
@@ -216,7 +212,7 @@ def _combine(
     for a, f in lowers:
         for b, g in uppers:
             # a*v >= f and b*v <= g  =>  a*g - b*f >= 0
-            out.add_inequality(g * a - f * b)
+            out.add_inequality(g.combine(a, f, -b))
             if track_exact and a != 1 and b != 1:
                 exact = False
     if prune > NONE:

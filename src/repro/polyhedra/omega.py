@@ -63,11 +63,31 @@ def reset_aux_names() -> None:
 def _solve_unit_equality(eq: LinExpr) -> Optional[Tuple[str, LinExpr]]:
     """If some variable has coefficient +-1, return (var, replacement)."""
     for name, coeff in eq.terms():
-        if coeff == 1:
-            return name, LinExpr.var(name) - eq
-        if coeff == -1:
-            return name, eq + LinExpr.var(name)
+        if coeff == 1 or coeff == -1:
+            return name, eq.split(name)[1]
     return None
+
+
+def _reduce_coefficients(eq: LinExpr) -> Tuple[str, LinExpr, LinExpr]:
+    """Coefficient reduction for an equality with no unit coefficient.
+
+    Picks the variable ``x_k`` with the smallest ``|a_k|`` and a fresh
+    ``y = x_k + sum(q_i * x_i) + q_c`` where ``a_i = q_i*a_k + r_i``;
+    returns ``(x_k, its replacement in terms of y, the reduced equality
+    a_k*y + sum(r_i * x_i) + r_c)`` whose other coefficients are all
+    below ``|a_k|``.
+    """
+    name, a_k = min(eq.terms(), key=lambda item: abs(item[1]))
+    y = _fresh_aux("eq")
+    reduced = {y: a_k}
+    replacement = {y: 1}
+    for other_name, a_i in eq.terms():
+        if other_name != name:
+            q_i, r_i = divmod(a_i, a_k)
+            reduced[other_name] = r_i
+            replacement[other_name] = -q_i
+    q_c, r_c = divmod(eq.const, a_k)
+    return name, LinExpr(replacement, -q_c), LinExpr(reduced, r_c)
 
 
 def eliminate_equalities(system: System) -> System:
@@ -76,71 +96,53 @@ def eliminate_equalities(system: System) -> System:
     Exact over the integers.  Uses unit-coefficient substitution when
     available and the classic coefficient-reduction rewrite otherwise
     (introducing fresh auxiliary variables, which are existentially
-    quantified like every other variable here).
+    quantified like every other variable here).  Only the constraints
+    that mention the pivot are rewritten; the others are carried over
+    as they are.
 
     Raises InfeasibleError when an equality has no integer solution
     (gcd test).
     """
-    current = system.copy()
-    while current.equalities:
-        eq = current.equalities[0]
-        tail = current.equalities[1:]
+    equalities = system.equalities
+    inequalities = system.inequalities
+    while equalities:
+        eq = equalities[0]
         g = eq.content()
         if g == 0:
             # constant equality; System() raises on construction, but
-            # substitution can create these.
+            # direct list assignment can create these.
             if eq.const != 0:
                 raise InfeasibleError(f"{eq} == 0")
-            current.equalities.pop(0)
+            equalities = equalities[1:]
             continue
         if eq.const % g:
             raise InfeasibleError(f"gcd test fails for {eq} == 0")
         if g > 1:
             eq = eq.divide_exact(g)
+        rest = System()
         unit = _solve_unit_equality(eq)
         if unit is not None:
             name, replacement = unit
-            env = {name: replacement}
-            rest = System()
-            for other in tail:
-                rest.add_equality(other.substitute(env))
-            for ineq in current.inequalities:
-                rest.add_inequality(ineq.substitute(env))
-            current = rest
-            continue
-        # Coefficient reduction: pick the variable with the smallest
-        # |coefficient|; rewrite x_k in terms of a fresh variable y so the
-        # equality's other coefficients drop below |a_k|.
-        name, a_k = min(eq.terms(), key=lambda item: abs(item[1]))
-        # y = x_k + sum(q_i * x_i) + q_c  where a_i = q_i*a_k + r_i
-        y = _fresh_aux("eq")
-        new_eq = LinExpr.var(y, a_k)
-        x_k_replacement = LinExpr.var(y)
-        for other_name, a_i in eq.terms():
-            if other_name == name:
-                continue
-            q_i = _floor_div(a_i, a_k)
-            r_i = a_i - q_i * a_k
-            new_eq = new_eq + LinExpr.var(other_name, r_i)
-            x_k_replacement = x_k_replacement - LinExpr.var(other_name, q_i)
-        q_c = _floor_div(eq.const, a_k)
-        r_c = eq.const - q_c * a_k
-        new_eq = new_eq + r_c
-        x_k_replacement = x_k_replacement - q_c
-        env = {name: x_k_replacement}
-        rest = System()
-        rest.add_equality(new_eq)
-        for other in tail:
+        else:
+            name, replacement, reduced = _reduce_coefficients(eq)
+            rest.add_equality(reduced)
+        env = {name: replacement}
+        for other in equalities[1:]:
             rest.add_equality(other.substitute(env))
-        for ineq in current.inequalities:
-            rest.add_inequality(ineq.substitute(env))
-        current = rest
-    return current
-
-
-def _floor_div(a: int, b: int) -> int:
-    """Mathematical floor division (Python's // already floors)."""
-    return a // b
+        kept = rest.inequalities
+        rewritten = False
+        for ineq in inequalities:
+            new = ineq.substitute(env)
+            if new is not ineq:
+                rewritten = True
+                rest.add_inequality(new)
+            elif not (rewritten and ineq in kept):
+                # untouched, so still normal, and distinct from every
+                # other untouched one: only a rewritten constraint can
+                # have become its duplicate
+                kept.append(ineq)
+        equalities, inequalities = rest.equalities, kept
+    return System.of_normal([], list(inequalities))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +271,14 @@ def _feasible(system: System, depth: int) -> bool:
         choice,
         key=lambda n: (not choice[n][2], choice[n][0] * choice[n][1], n),
     )
+    n_lowers, n_uppers, _exact = choice[name]
+    if not n_lowers or not n_uppers:
+        # Unbounded in one direction: drop all constraints on the var
+        # (no bound is ever read, so none is split out).
+        rest = [i for i in current.inequalities if not i.coeff(name)]
+        return _feasible(System.of_normal([], rest), depth - 1)
+
     bounds = extract_bounds(current, name)
-
-    if not bounds.lowers or not bounds.uppers:
-        # Unbounded in one direction: drop all constraints on the var.
-        return _feasible(bounds.rest, depth - 1)
-
     real, dark, exact = _shadows(bounds)
     if exact:
         return real is not None and _feasible(real, depth - 1)
@@ -311,16 +315,19 @@ def _shadows(bounds) -> Tuple[Optional[System], Optional[System], bool]:
     shadow means the system is infeasible; an infeasible dark shadow
     only means the dark-shadow shortcut cannot prove feasibility.
     """
+    lowers, uppers = bounds.lowers, bounds.uppers
+    # Pugh's condition: every pair has a unit coefficient on one side.
+    # Then the dark shadow *is* the real shadow and is never consulted.
+    exact = all(a == 1 for a, _ in lowers) or all(b == 1 for b, _ in uppers)
     real: Optional[System] = bounds.rest.copy()
-    dark: Optional[System] = bounds.rest.copy()
-    exact = True
-    pairs = len(bounds.lowers) * len(bounds.uppers)
+    dark: Optional[System] = None if exact else bounds.rest.copy()
+    pairs = len(lowers) * len(uppers)
     STATS.eliminations += 1
     STATS.pairs_considered += pairs
     STATS.pairs_materialized += pairs
-    for a, f in bounds.lowers:
-        for b, g in bounds.uppers:
-            combined = g * a - f * b
+    for a, f in lowers:
+        for b, g in uppers:
+            combined = g.combine(a, f, -b)
             if real is not None:
                 try:
                     real.add_inequality(combined)
@@ -331,8 +338,6 @@ def _shadows(bounds) -> Tuple[Optional[System], Optional[System], bool]:
                     dark.add_inequality(combined - (a - 1) * (b - 1))
                 except InfeasibleError:
                     dark = None
-            if a != 1 and b != 1:
-                exact = False
     if real is not None:
         STATS.observe_system_size(real.size())
     return real, dark, exact

@@ -97,15 +97,20 @@ def _equality_pairs(system: System, var: str) -> set:
     """Bound pairs on ``var`` that come from equalities (never pruned)."""
     pairs = set()
     for eq in system.equalities:
-        coeff = eq.coeff(var)
-        if coeff == 0:
-            continue
-        other = eq - LinExpr.var(var, coeff)
-        if coeff > 0:
-            pairs.add((coeff, -other))
-        else:
-            pairs.add((-coeff, other))
+        coeff, bound = eq.split(var)
+        if coeff:
+            pairs.add((abs(coeff), bound))
     return pairs
+
+
+def _bound_constraint(
+    pivot: LinExpr, a: int, f: LinExpr, is_lower: bool
+) -> LinExpr:
+    """The bound ``a*pivot >= f`` (lower) or ``a*pivot <= f`` (upper)
+    as an expression that is ``>= 0``."""
+    if is_lower:
+        return pivot.combine(a, f, -1)
+    return f.combine(1, pivot, -a)
 
 
 def _prune_bounds(
@@ -136,18 +141,15 @@ def _prune_bounds(
     if len(bounds) <= 1:
         return bounds
     protected = _equality_pairs(level_system, var)
-    base = System()
-    for eq in level_system.equalities:
-        base.add_equality(eq)
-    for ineq in level_system.inequalities:
-        if ineq.coeff(var) == 0:
-            base.add_inequality(ineq)
+    pivot = LinExpr.var(var)
+    # sub-lists of the level system: normal and unique already
+    base = System.of_normal(
+        list(level_system.equalities),
+        [i for i in level_system.inequalities if i.coeff(var) == 0],
+    )
     for b, g in other_side:
-        expr = (
-            g - LinExpr.var(var, b) if is_lower else LinExpr.var(var, b) - g
-        )
         try:
-            base.add_inequality(expr)
+            base.add_inequality(_bound_constraint(pivot, b, g, not is_lower))
         except InfeasibleError:
             pass
     if context is not None:
@@ -161,26 +163,23 @@ def _prune_bounds(
         )
     idx = len(kept) - 1
     while idx >= 0 and len(kept) > 1:
-        a, f = kept[idx]
-        if (a, f) in protected:
+        candidate = kept[idx]
+        if candidate in protected:
             idx -= 1
             continue
-        # the candidate constraint: a*var - f >= 0 (lower) / f - a*var >= 0
-        expr = (
-            LinExpr.var(var, a) - f if is_lower else f - LinExpr.var(var, a)
-        )
         probe = base.copy()
-        for b, g in kept:
-            if (b, g) == (a, f):
+        for bound in kept:
+            if bound == candidate:
                 continue
-            other = (
-                LinExpr.var(var, b) - g if is_lower else g - LinExpr.var(var, b)
-            )
             try:
-                probe.add_inequality(other)
+                probe.add_inequality(
+                    _bound_constraint(pivot, *bound, is_lower)
+                )
             except InfeasibleError:
                 pass
-        if implies_inequality(probe, expr):
+        if implies_inequality(
+            probe, _bound_constraint(pivot, *candidate, is_lower)
+        ):
             kept.pop(idx)
         idx -= 1
     return kept
@@ -310,19 +309,19 @@ def _recover_strides(loops: List[ScanLoop]) -> List[ScanLoop]:
         outer = out[loop_vars[v_k]]
         if outer.is_degenerate() or outer.step != 1:
             continue
-        beta = expr - LinExpr.var(v_k)  # expr = v_k + beta
-        # v_k ≡ base (mod alpha) where base = -beta; the loop start is the
-        # first aligned point >= the old lower bound:
+        # expr = v_k - base, so v_k ≡ base (mod alpha); the loop start is
+        # the first aligned point >= the old lower bound:
         #   start = alpha * ceil((lower - base) / alpha) + base
         # This needs the old lower bound to be affine.
-        base = -beta
-        shifted = _shift_bexpr(outer.lower_expr(), -1 * base)
-        if shifted is None:
+        _one, base = expr.split(v_k)
+        lower = outer.lower_expr()
+        if not isinstance(lower, Lin):
             continue
+        shifted = Lin(lower.expr - base)
         new_lower = simplify_bexpr(
             Combo(
                 ((alpha, CeilDiv(shifted, alpha)),) + _lin_terms(base),
-                _lin_const(base),
+                base.const,
             )
         )
         restrided = ScanLoop(
@@ -337,19 +336,8 @@ def _recover_strides(loops: List[ScanLoop]) -> List[ScanLoop]:
     return out
 
 
-def _shift_bexpr(expr: BExpr, delta: LinExpr) -> Optional[BExpr]:
-    """``expr + delta`` when expr is affine (Lin); None otherwise."""
-    if isinstance(expr, Lin):
-        return Lin(expr.expr + delta)
-    return None
-
-
 def _lin_terms(expr: LinExpr) -> Tuple[Tuple[int, BExpr], ...]:
     return tuple((c, Lin(LinExpr.var(v))) for v, c in sorted(expr.terms()))
-
-
-def _lin_const(expr: LinExpr) -> int:
-    return expr.const
 
 
 def enumerate_scan(

@@ -70,11 +70,9 @@ def subsume_inequalities(exprs: List[LinExpr],
     negative constant on the equality's affine hull (the system cannot
     have solutions).
     """
-    from .system import canonical_equality  # cycle-free runtime import
-
     eq_consts: Dict[Tuple, int] = {}
     for eq in equalities:
-        canon = canonical_equality(eq)
+        canon = eq.canonical_equality()
         vec, k = canon.key
         eq_consts[vec] = k
         neg_vec, neg_k = (-canon).key

@@ -19,21 +19,8 @@ class InfeasibleError(Exception):
     """Raised when a constraint is syntactically unsatisfiable (e.g. -1 >= 0)."""
 
 
-def canonical_equality(expr: LinExpr) -> LinExpr:
-    """The canonical representative of the equality class of ``expr == 0``.
-
-    Divides by the gcd of the coefficients (when the constant permits)
-    and fixes the sign so the first variable's coefficient is positive:
-    ``2x - 2y == 0`` and ``-x + y == 0`` both canonicalize to ``x - y``.
-    """
-    g = expr.content()
-    if g > 1 and expr.const % g == 0:
-        expr = expr.divide_exact(g)
-    for _var, coeff in sorted(expr.terms()):
-        if coeff < 0:
-            return -expr
-        break
-    return expr
+#: the canonical representative of the class of ``expr == 0`` (memoised)
+canonical_equality = LinExpr.canonical_equality
 
 
 class System:
@@ -43,6 +30,13 @@ class System:
     (and caches) an order-independent canonical form used for hashing,
     equality, and keying the projection/feasibility caches.  Every
     mutation invalidates the cached form.
+
+    Invariant (*normal on entry*): every member of ``inequalities`` is
+    its own ``normalized_ineq()`` and no two are the same expression; no
+    two ``equalities`` share a ``canonical_equality()`` and none is
+    constant.  ``add_*`` establish it; whoever assigns the lists or
+    calls :meth:`of_normal` must hand over constraints that satisfy it
+    already -- any sub-list of another system's constraints does.
     """
 
     __slots__ = ("equalities", "inequalities", "_canon")
@@ -62,13 +56,22 @@ class System:
 
     # -- construction -----------------------------------------------------
 
-    def copy(self) -> "System":
-        out = System()
-        out.equalities = list(self.equalities)
-        out.inequalities = list(self.inequalities)
-        # _canon stays None: a few callers mutate the copy's constraint
-        # lists directly, which would leave a propagated key stale.
+    @classmethod
+    def of_normal(
+        cls, equalities: List[LinExpr], inequalities: List[LinExpr]
+    ) -> "System":
+        """Adopt two lists that already satisfy the class invariant: no
+        normalisation, no duplicate scan."""
+        out = cls.__new__(cls)
+        out.equalities = equalities
+        out.inequalities = inequalities
+        # _canon stays None: a few callers mutate the new system's
+        # constraint lists directly, which would leave a copied key stale.
+        out._canon = None
         return out
+
+    def copy(self) -> "System":
+        return System.of_normal(list(self.equalities), list(self.inequalities))
 
     def add_equality(self, expr: ExprLike) -> None:
         """Add ``expr == 0``; drops trivial ``0 == 0`` and duplicates.
@@ -81,9 +84,9 @@ class System:
             if expr.const != 0:
                 raise InfeasibleError(f"unsatisfiable equality {expr} == 0")
             return
-        canon = canonical_equality(expr)
+        canon = expr.canonical_equality()
         for existing in self.equalities:
-            if canonical_equality(existing) is canon:
+            if existing.canonical_equality() is canon:
                 return
         self._canon = None
         self.equalities.append(expr)
@@ -96,6 +99,7 @@ class System:
                 raise InfeasibleError(f"unsatisfiable inequality {expr} >= 0")
             return
         expr = expr.normalized_ineq()
+        # expressions are interned: the membership scan compares pointers
         if expr in self.inequalities:
             return
         self._canon = None
@@ -180,7 +184,7 @@ class System:
         on a fresh copy (``copy()`` drops the cached key).
         """
         if self._canon is None:
-            eqs = sorted({canonical_equality(e).key for e in self.equalities})
+            eqs = sorted({e.canonical_equality().key for e in self.equalities})
             ineqs = sorted({i.key for i in self.inequalities})
             self._canon = (tuple(eqs), tuple(ineqs))
         return self._canon

@@ -11,7 +11,7 @@ import pytest
 from repro.codegen import SPMDOptions, generate_spmd
 from repro.decomp import block, block_loop, onto, replicated
 from repro.lang import parse
-from repro.polyhedra import var
+from repro.polyhedra import System, var
 from repro.runtime import check_against_sequential, run_spmd
 
 FIG2 = """
@@ -287,3 +287,20 @@ class TestGeneratedSource:
     def test_c_text_nonempty(self):
         spmd, _ = fig2_spmd()
         assert "receive" in spmd.c_text and "send" in spmd.c_text
+
+
+class TestPlacementProbeFailsLoudly:
+    """The uniqueness probe that licenses early send/receive placement
+    must not turn a bug into the answer "unique"."""
+
+    def test_non_infeasible_error_propagates(self, monkeypatch):
+        real_rename = System.rename
+
+        def broken_rename(self, mapping):
+            if any(new.endswith("$dup") for new in mapping.values()):
+                raise KeyError("bug while building the probe")
+            return real_rename(self, mapping)
+
+        monkeypatch.setattr(System, "rename", broken_rename)
+        with pytest.raises(KeyError, match="building the probe"):
+            fig2_spmd()

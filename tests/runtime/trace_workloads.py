@@ -86,53 +86,69 @@ for t = 1 to T do
 """
 
 
-def build_fig2(options):
+def fig2_job():
     program = parse(FIG2_SRC, name="figure2")
     stmt = program.statements()[0]
-    comps = {stmt.name: block_loop(stmt, ["i"], [16])}
-    return generate_spmd(program, comps, options=options)
+    return program, {stmt.name: block_loop(stmt, ["i"], [16])}
 
 
-def build_fig8(options):
+def fig8_job():
     program = parse(FIG8_SRC, name="figure8")
     stmt = program.statements()[0]
-    comps = {stmt.name: block_loop(stmt, ["i"], [16])}
-    return generate_spmd(program, comps, options=options)
+    return program, {stmt.name: block_loop(stmt, ["i"], [16])}
 
 
-def build_lu(options):
+def lu_job():
     program = parse(LU_SRC, name="lu")
     comps = {"s1": onto(program.statement("s1"), [var("i2")])}
     comps["s2"] = onto(
         program.statement("s2"), [var("i2")], space=comps["s1"].space
     )
-    return generate_spmd(program, comps, options=options)
+    return program, comps
 
 
-def build_pipe(options):
+def pipe_job():
     program = parse(PIPE_SRC, name="pipe")
     s1 = program.statement("s1")
     s2 = program.statement("s2")
     comps = {"s1": block_loop(s1, ["i"], [16])}
     comps["s2"] = block_loop(s2, ["j"], [16], space=comps["s1"].space)
-    return generate_spmd(program, comps, options=options)
+    return program, comps
 
 
-def build_stencil(options):
+def stencil_job():
     program = parse(STENCIL_SRC, name="stencil")
     stmt = program.statements()[0]
-    comps = {stmt.name: block_loop(stmt, ["i"], [16])}
-    return generate_spmd(program, comps, options=options)
+    return program, {stmt.name: block_loop(stmt, ["i"], [16])}
+
+
+#: the five conformance compile requests: ``(program, comps)`` at the
+#: pinned decomposition (block 16; LU rows ``onto``)
+JOBS = {
+    "fig2": fig2_job,
+    "fig8": fig8_job,
+    "lu": lu_job,
+    "pipe": pipe_job,
+    "stencil": stencil_job,
+}
+
+
+def _builder(job):
+    def build(options):
+        program, comps = job()
+        return generate_spmd(program, comps, options=options)
+
+    return build
 
 
 #: the paper's workloads x parameter sets used throughout the trace
 #: suites (matching test_exec_equivalence.WORKLOADS)
 WORKLOADS = {
-    "fig2": (build_fig2, {"N": 70, "T": 2, "P": 3}),
-    "fig8": (build_fig8, {"N": 70, "T": 2, "P": 3}),
-    "lu": (build_lu, {"N": 24, "P": 3}),
-    "pipe": (build_pipe, {"N": 44, "P": 2}),
-    "stencil": (build_stencil, {"N": 64, "T": 3, "P": 2}),
+    "fig2": (_builder(fig2_job), {"N": 70, "T": 2, "P": 3}),
+    "fig8": (_builder(fig8_job), {"N": 70, "T": 2, "P": 3}),
+    "lu": (_builder(lu_job), {"N": 24, "P": 3}),
+    "pipe": (_builder(pipe_job), {"N": 44, "P": 2}),
+    "stencil": (_builder(stencil_job), {"N": 64, "T": 3, "P": 2}),
 }
 
 #: every backend x codegen combination PR 4 introduced
