@@ -6,7 +6,7 @@ localized recovery (sender-based message logging) restarts only the
 crashed rank while live ranks keep executing, so the discarded work is
 ~O(1 rank) regardless of machine size.  This bench injects one mid-run
 crash into fig2 (P up to 256) and LU (P up to 64), runs both recovery
-disciplines on the event backend, and measures:
+disciplines, and measures:
 
 * ``work_wasted`` -- recomputed processor-time discarded by recovery;
 * ``wasted_fraction`` -- that work over the clean run's total
@@ -77,7 +77,7 @@ def sweep():
     rows = []
     for workload, p, params in CASES:
         spmd = _build(workload, params)
-        clean = run_spmd(spmd, params, cost=IPSC, backend="event")
+        clean = run_spmd(spmd, params, cost=IPSC)
         total_work = sum(clean.clocks.values())
         # halfway through the *victim's* execution (pipelined ranks can
         # finish well before the machine-wide makespan)
@@ -88,7 +88,7 @@ def sweep():
         )
         for mode in ("global", "local"):
             result = run_spmd(
-                spmd, params, cost=IPSC, backend="event",
+                spmd, params, cost=IPSC,
                 fault_plan=plan, checkpoint=POLICY, max_restarts=8,
                 recovery=mode,
             )

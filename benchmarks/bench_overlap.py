@@ -94,12 +94,10 @@ def sweep():
             options=SPMDOptions(early_puts=True), **kw
         )[2]
         base = run_spmd(
-            base_spmd, params, cost=COST, backend="coop",
-            reliability="reliable",
+            base_spmd, params, cost=COST, reliability="reliable"
         )
         early = run_spmd(
-            early_spmd, params, cost=COST, backend="coop",
-            reliability="onesided",
+            early_spmd, params, cost=COST, reliability="onesided"
         )
         _assert_same_arrays(wname, base, early)
         base_wait, base_blocked = _buckets(base)

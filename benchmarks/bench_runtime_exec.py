@@ -1,21 +1,17 @@
-"""Node-program execution ablation: scalar/vectorized x threads/coop.
+"""Node-program execution ablation: scalar vs vectorized codegen.
 
 Not a paper figure -- the paper measures a real iPSC/860, while our
 runtime is a simulator -- but the simulator's wall-clock cost is the
 practical ceiling on how large an N the other benchmarks can afford.
-This ablation isolates the two execution-engine optimizations:
+This ablation isolates the execution-engine optimization of
+**vectorized node programs**: innermost compute/pack/unpack loops
+compile to single numpy block operations (``proc.execute_block`` /
+slice gather-scatter) with flops and clocks charged in closed form.
 
-* **vectorized node programs**: innermost compute/pack/unpack loops
-  compile to single numpy block operations (``proc.execute_block`` /
-  slice gather-scatter) with flops and clocks charged in closed form;
-* **cooperative scheduler** (``backend="coop"``): all simulated
-  processors run as coroutines on one thread in deterministic
-  virtual-time order, eliminating per-message OS thread handoffs.
-
-Both are required to be *exact*: every configuration must produce
-bit-identical final arrays, equal makespans, and identical per-processor
-``ProcStats``.  The combined configuration must be at least 5x faster
-than the shipped scalar+threads baseline on LU.
+It is required to be *exact*: both configurations must produce
+bit-identical final arrays, equal makespans, and identical
+per-processor ``ProcStats``.  Vectorized LU must stay at least
+``LU_FLOOR`` times faster than scalar LU on the one scheduler.
 
 Results land in ``BENCH_runtime.json`` for the CI artifact.
 """
@@ -34,13 +30,14 @@ BENCH_JSON = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_runtime.json"
 )
 
-#: (label, vectorize, backend) -- the shipped baseline first
-CONFIGS = (
-    ("scalar+threads", False, "threads"),
-    ("scalar+coop", False, "coop"),
-    ("vector+threads", True, "threads"),
-    ("vector+coop", True, "coop"),
-)
+#: (label, vectorize) -- the scalar baseline first
+CONFIGS = (("scalar", False), ("vector", True))
+
+#: vector-over-scalar LU floor, set below the ratios measured when it
+#: was chosen (7.5x / 10.2x / 11.2x over three runs of LU N=96 P=8 on
+#: a 2-core x86-64 container, Python 3.11): host noise cannot trip it,
+#: losing block execution does
+LU_FLOOR = 5.0
 
 WORKLOADS = (
     ("lu", lu_compiled, {"N": 96, "P": 8}),
@@ -72,12 +69,10 @@ def sweep():
             for vec in (False, True)
         }
         base = None
-        for label, vec, backend in CONFIGS:
+        for label, vec in CONFIGS:
             spmd = compiled[vec]
             t0 = time.perf_counter()
-            result = run_spmd(
-                spmd, params, cost=IPSC, timeout=300.0, backend=backend
-            )
+            result = run_spmd(spmd, params, cost=IPSC, timeout=300.0)
             seconds = time.perf_counter() - t0
             if base is None:
                 base = result
@@ -90,7 +85,6 @@ def sweep():
                     "params": params,
                     "config": label,
                     "vectorize": vec,
-                    "backend": backend,
                     "seconds": seconds,
                     "speedup": base_seconds / seconds,
                     "makespan": result.makespan,
@@ -106,12 +100,12 @@ def test_runtime_exec_ablation(benchmark, report):
 
     report("Execution-engine ablation (bit-identical at every cell)")
     report(
-        f"{'workload':>8} {'config':>15} {'seconds':>8} {'speedup':>8} "
+        f"{'workload':>8} {'config':>8} {'seconds':>8} {'speedup':>8} "
         f"{'makespan':>10}"
     )
     for row in rows:
         report(
-            f"{row['workload']:>8} {row['config']:>15} "
+            f"{row['workload']:>8} {row['config']:>8} "
             f"{row['seconds']:>8.2f} {row['speedup']:>7.2f}x "
             f"{row['makespan']:>10.0f}"
         )
@@ -130,15 +124,14 @@ def test_runtime_exec_ablation(benchmark, report):
         json.dump(data, fh, indent=2, sort_keys=True)
 
     by = {(r["workload"], r["config"]): r for r in rows}
-    # the regression guard: vectorized+coop must beat the shipped
-    # scalar+threads baseline by >= 5x end-to-end on LU
-    lu_speedup = by[("lu", "vector+coop")]["speedup"]
+    # the regression guard: vectorized LU must stay LU_FLOOR x faster
+    lu_speedup = by[("lu", "vector")]["speedup"]
     report("")
-    report(f"LU combined speedup (vector+coop vs scalar+threads): "
-           f"{lu_speedup:.2f}x (floor: 5x)")
-    assert lu_speedup >= 5.0, (
-        f"vectorized+coop LU speedup regressed to {lu_speedup:.2f}x"
+    report(f"LU vector-over-scalar speedup: {lu_speedup:.2f}x "
+           f"(floor: {LU_FLOOR:g}x)")
+    assert lu_speedup >= LU_FLOOR, (
+        f"vectorized LU speedup regressed to {lu_speedup:.2f}x"
     )
-    # vectorization alone must already help on both workloads
+    # vectorization must help on both workloads
     for wname, _build, _params in WORKLOADS:
-        assert by[(wname, "vector+threads")]["speedup"] > 1.0
+        assert by[(wname, "vector")]["speedup"] > 1.0

@@ -1,23 +1,19 @@
-"""Simulator throughput at scale: P=256 and P=1024 (ISSUE 7).
+"""Simulator throughput at scale: P=256 and P=1024.
 
-Three measurements, all recorded in the ``events_per_sec`` section of
+Two measurements, recorded in the ``events_per_sec`` section of
 ``BENCH_runtime.json``:
 
-* **Compiled sweeps** -- fig2 and the stencil at P=256 (coop + event,
-  asserted bit-identical) and at P=1024.  These are compute-pipelined
-  workloads whose dependences flow *with* the scheduler's rank order,
-  so every rank runs start-to-finish in one wake and both backends are
-  bound by node-program execution; the event backend must simply never
-  be slower.  A P=1024 stencil completing here is an acceptance
-  criterion for the discrete-event engine.
-* **Scheduler stress** (the regression guard) -- a reverse token ring:
-  a single token circulates from high ranks to low ranks, so at any
-  moment one rank is runnable and P-1 are parked.  The cooperative
-  scheduler pays an O(P) drain poll per wake (its dense loop has no
-  idea which rank the delivery landed on); the event backend's
-  delivery watcher wakes exactly the flagged rank.  This is the "idle
-  ranks cost zero cycles" claim, and the guard fails the build if the
-  event backend is < 5x coop events/sec at P=256.
+* **Compiled sweeps** -- fig2 and the stencil at P=256 (vectorized
+  codegen asserted bit-identical to scalar) and at P=1024.  These are
+  compute-pipelined workloads whose dependences flow *with* the
+  scheduler's rank order, so every rank runs start-to-finish in one
+  wake.  A P=1024 stencil completing here is an acceptance criterion
+  for the discrete-event scheduler.
+* **Scheduler stress** -- a reverse token ring: a single token
+  circulates from high ranks to low ranks, so at any moment one rank is
+  runnable and P-1 are parked.  The delivery watcher wakes exactly the
+  flagged rank, so idle ranks cost zero cycles; the row records what
+  that costs per wakeup.
 """
 
 import json
@@ -35,17 +31,16 @@ BENCH_JSON = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_runtime.json"
 )
 
-#: compiled sweeps: (workload, builder, N, T, P, backends)
+#: compiled sweeps: (workload, builder, N, T, P, also run scalar codegen)
 SWEEPS = (
-    ("fig2", fig2_compiled, 2048, 3, 256, ("coop", "event")),
-    ("stencil", stencil_compiled, 2048, 6, 256, ("coop", "event")),
-    ("fig2", fig2_compiled, 4096, 2, 1024, ("event",)),
-    ("stencil", stencil_compiled, 4096, 4, 1024, ("event",)),
+    ("fig2", fig2_compiled, 2048, 3, 256, True),
+    ("stencil", stencil_compiled, 2048, 6, 256, True),
+    ("fig2", fig2_compiled, 4096, 2, 1024, False),
+    ("stencil", stencil_compiled, 4096, 4, 1024, False),
 )
 
 RING_LAPS = 20
-GUARD_P = 256
-GUARD_FLOOR = 5.0
+RING_P = 256
 
 RING_SRC = """
 array X[N + 1]
@@ -68,11 +63,10 @@ def _assert_identical(label, base, result):
             ), f"{label}: array {name} differs on {myp}"
 
 
-def _row(workload, p, backend, result):
+def _row(workload, p, result):
     return {
         "workload": workload,
         "P": p,
-        "backend": backend,
         "wall_seconds": result.wall_seconds,
         "sim_events": result.sim_events,
         "events_per_sec": result.events_per_sec,
@@ -82,31 +76,27 @@ def _row(workload, p, backend, result):
 
 def compiled_sweep():
     rows = []
-    for wname, build, n, t, p, backends in SWEEPS:
-        _prog, _comps, spmd = build(
-            n=n, p=p, options=SPMDOptions(vectorize=True)
-        )
+    for wname, build, n, t, p, check_scalar in SWEEPS:
         params = {"N": n, "T": t, "P": p}
-        base = None
-        for backend in backends:
-            result = run_spmd(
-                spmd, params, cost=IPSC, timeout=600.0, backend=backend
+        runs = {}
+        for vec in (True, False) if check_scalar else (True,):
+            _prog, _comps, spmd = build(
+                n=n, p=p, options=SPMDOptions(vectorize=vec)
             )
-            if base is None:
-                base = result
-            else:
-                _assert_identical(f"{wname} P={p} {backend}", base, result)
-            rows.append(_row(wname, p, backend, result))
+            runs[vec] = run_spmd(spmd, params, cost=IPSC, timeout=600.0)
+        if check_scalar:
+            _assert_identical(f"{wname} P={p} scalar", runs[True], runs[False])
+        rows.append(_row(wname, p, runs[True]))
     return rows
 
 
-def _ring_machine(p, backend):
+def _ring_machine(p):
     prog = parse(RING_SRC)
     stmt = prog.statements()[0]
     comp = block_loop(stmt, ["i"], [32])
     return Machine(
         prog, comp.space, {"N": 32 * p - 1, "T": 0, "P": p},
-        timeout=120.0, backend=backend,
+        timeout=120.0,
     )
 
 
@@ -132,12 +122,8 @@ def ring_node(proc):
 
 
 def ring_sweep():
-    rows = []
-    for backend in ("coop", "event"):
-        machine = _ring_machine(GUARD_P, backend)
-        result = machine.run(ring_node)
-        rows.append(_row("ring", GUARD_P, backend, result))
-    return rows
+    result = _ring_machine(RING_P).run(ring_node)
+    return [_row("ring", RING_P, result)]
 
 
 def _merge_into_bench_json(section):
@@ -156,53 +142,21 @@ def test_sim_throughput(benchmark, report):
         lambda: compiled_sweep() + ring_sweep(), rounds=1, iterations=1
     )
 
-    report("Simulator throughput at scale (event vs coop backends)")
+    report("Simulator throughput at scale")
     report(
-        f"{'workload':>8} {'P':>5} {'backend':>7} {'wall':>8} "
+        f"{'workload':>8} {'P':>5} {'wall':>8} "
         f"{'events':>9} {'events/s':>12} {'wakeups':>8}"
     )
     for row in rows:
         report(
-            f"{row['workload']:>8} {row['P']:>5} {row['backend']:>7} "
+            f"{row['workload']:>8} {row['P']:>5} "
             f"{row['wall_seconds']:>7.3f}s {row['sim_events']:>9} "
             f"{row['events_per_sec']:>12,.0f} {row['sched_wakeups']:>8}"
         )
 
-    by = {(r["workload"], r["P"], r["backend"]): r for r in rows}
-    ring_coop = by[("ring", GUARD_P, "coop")]["events_per_sec"]
-    ring_event = by[("ring", GUARD_P, "event")]["events_per_sec"]
-    ratio = ring_event / ring_coop
-    report("")
-    report(
-        f"scheduler-stress guard (reverse token ring, P={GUARD_P}): "
-        f"event/coop = {ratio:.1f}x (floor: {GUARD_FLOOR:.0f}x)"
-    )
-
-    _merge_into_bench_json(
-        {
-            "rows": rows,
-            "guard": {
-                "workload": "ring",
-                "P": GUARD_P,
-                "event_over_coop": ratio,
-                "floor": GUARD_FLOOR,
-            },
-        }
-    )
+    _merge_into_bench_json({"rows": rows})
 
     # acceptance: P=1024 runs completed (we got rows for them at all)
-    assert ("stencil", 1024, "event") in by
-    assert ("fig2", 1024, "event") in by
-    # regression guard: the event engine must keep its scheduling edge
-    assert ratio >= GUARD_FLOOR, (
-        f"event backend only {ratio:.1f}x coop events/sec on the "
-        f"P={GUARD_P} scheduler-stress ring (floor {GUARD_FLOOR:.0f}x)"
-    )
-    # and must never be slower on the compute-bound compiled sweeps
-    for wname in ("fig2", "stencil"):
-        coop = by[(wname, 256, "coop")]["events_per_sec"]
-        event = by[(wname, 256, "event")]["events_per_sec"]
-        assert event >= 0.8 * coop, (
-            f"{wname} P=256: event backend regressed below coop "
-            f"({event:,.0f} vs {coop:,.0f} events/sec)"
-        )
+    by = {(r["workload"], r["P"]) for r in rows}
+    assert ("stencil", 1024) in by
+    assert ("fig2", 1024) in by

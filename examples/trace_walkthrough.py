@@ -21,11 +21,14 @@ machinery (retransmissions, timeouts, dedup drops) appearing in the
 trace, and writes a Chrome trace_event JSON you can open in
 https://ui.perfetto.dev (one flow arrow per delivered message).
 
-Run:  python examples/trace_walkthrough.py
+Run:  python examples/trace_walkthrough.py [OUT.json]
+(the trace goes to OUT.json, or to lu_trace.json in the system temp
+directory when no path is given)
 """
 
 import os
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -59,7 +62,7 @@ def build():
     return generate_spmd(program, comps)
 
 
-def main():
+def main(out=None):
     spmd = build()
     params = {"N": 24, "P": 3}
 
@@ -102,10 +105,11 @@ def main():
     delivered = len(match_messages(faulty.trace))
     print(f"  delivered payloads matched to sends: {delivered}")
 
-    out = os.path.join(os.path.dirname(__file__), "lu_trace.json")
+    if out is None:
+        out = os.path.join(tempfile.gettempdir(), "lu_trace.json")
     faulty.trace.write_chrome(out)
     print(f"\nwrote {out} -- open in https://ui.perfetto.dev")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1] if len(sys.argv) > 1 else None)

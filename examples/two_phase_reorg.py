@@ -19,7 +19,6 @@ Run:  python examples/two_phase_reorg.py
 
 import os
 import sys
-import threading
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -27,8 +26,7 @@ import numpy as np
 
 from repro import block, block_loop, generate_spmd, parse
 from repro.ir import allocate_arrays, run
-from repro.runtime import Machine, drive_node, reorganize
-from repro.runtime.machine import Processor
+from repro.runtime import Machine, reorganize
 
 ROWS = """
 array A[16][16]
@@ -73,31 +71,25 @@ def main() -> None:
     comp_col = block_loop(s_col, ["j2"], [8], pdims=[2])
     spmd_col = generate_spmd(cols_prog, {s_col.name: comp_col})
     machine2 = Machine(cols_prog, comp_col.space, params)
-    machine2.procs = {
-        myp: Processor(machine2, myp, arrays)
-        for myp, arrays in phase1.arrays.items()
-    }
-    threads = [
-        threading.Thread(target=drive_node, args=(spmd_col.node, proc))
-        for proc in machine2.procs.values()
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-    msgs = sum(p.stats.messages_sent for p in machine2.procs.values())
-    print(f"phase 2 (column sweep, col blocks): {msgs} point-to-point "
-          f"messages")
+
+    def seeded_from_phase1(proc):
+        # each processor starts from the arrays it holds after the
+        # reorganization, then runs the compiled column sweep
+        for name, values in phase1.arrays[proc.myp].items():
+            proc.arrays[name][...] = values
+        yield from spmd_col.node(proc)
+
+    phase2 = machine2.run(seeded_from_phase1)
+    print(f"phase 2 (column sweep, col blocks): {phase2.total_messages} "
+          f"point-to-point messages")
 
     # validate the composite against sequential execution
     golden = allocate_arrays(rows_prog, params, seed=0)
     run(rows_prog, params, arrays=golden)
     run(cols_prog, params, arrays=golden)
-    for myp, proc in machine2.procs.items():
+    for myp, arrays in phase2.arrays.items():
         lo, hi = myp[0] * 8, myp[0] * 8 + 8
-        assert np.allclose(
-            proc.arrays["A"][:, lo:hi], golden["A"][:, lo:hi]
-        )
+        assert np.allclose(arrays["A"][:, lo:hi], golden["A"][:, lo:hi])
     print("composite result matches sequential execution: OK")
 
 

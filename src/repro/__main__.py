@@ -312,7 +312,6 @@ def cmd_run(args) -> int:
             max_retries=args.max_retries,
             checkpoint=policy,
             max_restarts=args.max_restarts,
-            backend=args.backend,
             trace=want_trace or None,
             checksums={"auto": None, "on": True, "off": False}[
                 args.checksums
@@ -331,17 +330,13 @@ def cmd_run(args) -> int:
     print(f"words:     {result.total_words}")
     print(f"makespan:  {result.makespan:.0f} time units")
     if result.wall_seconds > 0:
-        line = (
+        nranks = max(1, len(result.clocks))
+        print(
             f"sim rate:  {result.sim_events} events in "
             f"{result.wall_seconds:.3f}s wall "
-            f"({result.events_per_sec:,.0f} events/sec)"
+            f"({result.events_per_sec:,.0f} events/sec), "
+            f"{result.sched_wakeups / nranks:.1f} wakeups/rank"
         )
-        if result.sched_wakeups is not None:
-            nranks = max(1, len(result.clocks))
-            line += (
-                f", {result.sched_wakeups / nranks:.1f} wakeups/rank"
-            )
-        print(line)
     retrans = result.stat_sum("retransmissions")
     if plan is not None or retrans:
         print(
@@ -415,9 +410,6 @@ def cmd_chaos(args) -> int:
         print("NOT reproduced: the replay diverged from the recording")
         return 1
     workloads = list(dict.fromkeys(args.workload or sorted(chaos.WORKLOADS)))
-    backends = list(
-        dict.fromkeys(args.backend or ["threads", "coop", "event"])
-    )
     recovery_modes = (
         ("global", "local")
         if args.recovery_mode == "both"
@@ -432,7 +424,6 @@ def cmd_chaos(args) -> int:
     try:
         report = chaos.explore(
             workloads=workloads,
-            backends=backends,
             seeds=args.seeds,
             corrupt_rate=args.corrupt_rate,
             targeted=not args.no_targeted,
@@ -451,8 +442,7 @@ def cmd_chaos(args) -> int:
         for index, finding in enumerate(report.findings):
             path = os.path.join(
                 args.out,
-                f"chaos-{finding.scenario}-{finding.backend}-"
-                f"{finding.transport}-{index}.json",
+                f"chaos-{finding.scenario}-{finding.transport}-{index}.json",
             )
             with open(path, "w") as fh:
                 json.dump(finding.reproducer, fh, indent=2, sort_keys=True)
@@ -544,15 +534,6 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "-D", "--define", action="append", metavar="NAME=VALUE",
         help="parameter values (N, T, P, ...)",
-    )
-    p_run.add_argument(
-        "--backend", choices=["threads", "coop", "event"],
-        default="threads",
-        help="execution engine: threads = one OS thread per simulated "
-        "processor (default), coop = all processors as coroutines on "
-        "one thread in deterministic virtual-time order (faster; same "
-        "results), event = discrete-event heap scheduler that only "
-        "wakes runnable processors (fastest at large P; same results)",
     )
     p_run.add_argument(
         "--trace", metavar="FILE", default=None,
@@ -702,8 +683,8 @@ def main(argv=None) -> int:
         help="deterministic fault-space exploration with shrinking "
         "reproducers",
         description="Enumerate corruption fault schedules over the "
-        "built-in conformance workloads, run each under both execution "
-        "backends, check the runs against bit-exact array oracles and "
+        "built-in conformance workloads, run each, check the runs "
+        "against bit-exact array oracles and "
         "trace invariants, and shrink any failure to a minimal "
         "replayable JSON reproducer.  Exit status: 0 = every schedule "
         "met its expectation, 3 = findings (reproducers describe them).",
@@ -712,12 +693,6 @@ def main(argv=None) -> int:
         "--workload", action="append", metavar="NAME",
         choices=["fig2", "fig8", "lu", "pipe", "stencil"],
         help="workload(s) to explore (repeatable; default: all five)",
-    )
-    p_chaos.add_argument(
-        "--backend", action="append",
-        choices=["threads", "coop", "event"],
-        help="execution backend(s) to run under (repeatable; default: "
-        "all three)",
     )
     p_chaos.add_argument(
         "--transport", action="append",

@@ -726,14 +726,13 @@ class PyEmitter:
     ``proc.execute_block``, ``proc.send``, ``proc.multicast``, and the
     ``proc.finish`` completion hook (emitted as the final statement so
     the runtime's progress monitor can tell a cleanly finished node
-    program from a dead thread when diagnosing deadlocks).
+    program from a dead one when diagnosing deadlocks).
 
     Node programs are **generator functions**: receives are emitted as
-    ``yield ('recv'|'recv_mc', src, tag)`` requests so the same program
-    runs under the threaded backend (whose driver answers each request
-    with a blocking receive) and the cooperative scheduler (which parks
-    the coroutine).  Programs with no receives get a dead ``yield`` to
-    keep the calling convention uniform.
+    ``yield ('recv'|'recv_mc', src, tag)`` requests, which the runtime's
+    scheduler answers by parking the coroutine until the message
+    exists.  Programs with no receives get a dead ``yield`` to keep the
+    calling convention uniform.
 
     With ``vectorize=True`` (the default), an innermost loop whose body
     is a single guarded compute, pack, or unpack -- plus any number of

@@ -955,7 +955,10 @@ def generate_spmd(
             array = program.arrays[array_name]
             tree = final_write_tree(program, array)
             probe = tree.stmt
-            for leaf in tree.writer_leaves():
+            # one label per leaf: the sets of different leaves connect
+            # the same processor pairs, so a shared label would give
+            # distinct messages the same tag
+            for k, leaf in enumerate(tree.writer_leaves()):
                 sets = finalization_comm(
                     leaf,
                     probe,
@@ -963,7 +966,7 @@ def generate_spmd(
                     comps[leaf.writer.name],
                     d_final,
                     assumptions=context,
-                    label=f"{array_name}.",
+                    label=f"{array_name}.w{k}.",
                 )
                 for cs in sets:
                     if cs.is_empty():
@@ -977,7 +980,7 @@ def generate_spmd(
                     if recv_t:
                         final_recvs.append(recv_t)
             if initial_data and array_name in initial_data:
-                for leaf in tree.bottom_leaves():
+                for k, leaf in enumerate(tree.bottom_leaves()):
                     sets = finalization_initial(
                         leaf,
                         probe,
@@ -985,7 +988,7 @@ def generate_spmd(
                         initial_data[array_name],
                         d_final,
                         assumptions=context,
-                        label=f"{array_name}.",
+                        label=f"{array_name}.b{k}.",
                     )
                     for cs in sets:
                         minis = (

@@ -3,6 +3,8 @@
 Layered as a small distributed runtime:
 
 * :mod:`~repro.runtime.machine` -- processors, clocks, cost model;
+* :mod:`~repro.runtime.scheduler` -- the deterministic discrete-event
+  scheduler that drives every run;
 * :mod:`~repro.runtime.transport` -- direct / unreliable / reliable /
   onesided message transports (sequence numbers, ack/retransmit,
   dedup, PGAS-style put/get windows with fences);
@@ -49,7 +51,6 @@ from .machine import (
     ProcStats,
     Processor,
     RunResult,
-    drive_node,
 )
 from .chaos import (
     ChaosFinding,
@@ -58,7 +59,7 @@ from .chaos import (
     load_reproducer,
     replay_reproducer,
 )
-from .scheduler import CoopScheduler, EventScheduler
+from .scheduler import Scheduler
 from .trace import TraceBuffer, TraceEvent, match_messages
 from .transport import (
     CorruptionError,
@@ -84,8 +85,6 @@ __all__ = [
     "CollectiveStats",
     "CommEdge",
     "CommMatrix",
-    "CoopScheduler",
-    "EventScheduler",
     "CorruptionError",
     "CostModel",
     "CriticalPath",
@@ -110,6 +109,7 @@ __all__ = [
     "ReliableTransport",
     "ReorganizeError",
     "RunResult",
+    "Scheduler",
     "TraceBuffer",
     "TraceEvent",
     "Transport",
@@ -119,7 +119,6 @@ __all__ = [
     "comm_matrix",
     "critical_path",
     "decompose",
-    "drive_node",
     "explore",
     "load_reproducer",
     "match_messages",

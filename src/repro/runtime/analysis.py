@@ -418,16 +418,12 @@ def summarize(result) -> str:
         + ")"
     )
     if getattr(result, "wall_seconds", 0) > 0:
-        throughput = (
+        nranks = max(1, len(result.clocks))
+        lines.append(
             f"throughput: {result.sim_events} simulated events, "
-            f"{result.events_per_sec:,.0f} events/sec"
+            f"{result.events_per_sec:,.0f} events/sec, "
+            f"{result.sched_wakeups / nranks:.1f} wakeups per rank"
         )
-        if result.sched_wakeups is not None:
-            nranks = max(1, len(result.clocks))
-            throughput += (
-                f", {result.sched_wakeups / nranks:.1f} wakeups per rank"
-            )
-        lines.append(throughput)
     if getattr(result, "restarts", 0) > 0 or getattr(
         result, "crash_events", None
     ):

@@ -3,7 +3,7 @@
 The fault-injection stack (PR 1 network faults, PR 3 crashes, this
 PR's corruption) samples *one* deterministic schedule per seed.  This
 module turns that into a **search**: enumerate many fault schedules,
-run each under both execution backends, check the run against oracles
+run each, check the run against oracles
 the tracing subsystem already pins down, and -- when a schedule breaks
 something -- *shrink* it to a minimal reproducer emitted as a
 replayable JSON artifact.
@@ -38,8 +38,8 @@ findings are first *explicitized* -- the traced run names exactly
 which wire copies were corrupted -- and then shrunk the same way.
 
 The reproducer JSON is self-contained: it embeds the program source,
-the decomposition spec, the parameters, the serialized fault plan, the
-backend and the transport, so :func:`replay_reproducer` can rebuild
+the decomposition spec, the parameters, the serialized fault plan and
+the transport, so :func:`replay_reproducer` can rebuild
 and re-run the exact failing configuration with no other inputs.
 """
 
@@ -379,7 +379,6 @@ def _invariant_violation(result) -> Optional[str]:
 def _observe(
     spmd,
     params,
-    backend,
     plan,
     transport,
     oracle_arrays,
@@ -400,7 +399,6 @@ def _observe(
         result = run_spmd(
             spmd,
             params,
-            backend=backend,
             fault_plan=plan,
             reliability=transport,
             trace=True,
@@ -454,7 +452,7 @@ def _critical_channel_messages(trace, limit: int) -> List[Tuple[tuple, tuple, in
     return out
 
 
-def _explicitize(spmd, params, backend, plan, transport) -> List[tuple]:
+def _explicitize(spmd, params, plan, transport) -> List[tuple]:
     """Re-express a rate-based corruption plan as explicit events.
 
     Runs the trial traced and reads off which wire copies the plan
@@ -467,12 +465,7 @@ def _explicitize(spmd, params, backend, plan, transport) -> List[tuple]:
 
     try:
         result = run_spmd(
-            spmd,
-            params,
-            backend=backend,
-            fault_plan=plan,
-            reliability=transport,
-            trace=True,
+            spmd, params, fault_plan=plan, reliability=transport, trace=True
         )
     except Exception:  # noqa: BLE001 - fall back to the rate-based plan
         return []
@@ -534,7 +527,6 @@ class ChaosFinding:
     """One trial whose observation diverged from its expectation."""
 
     scenario: str
-    backend: str
     transport: str
     expected: str
     observed: str
@@ -549,7 +541,7 @@ class ChaosFinding:
 
     def describe(self) -> str:
         return (
-            f"{self.scenario} [{self.backend}/{self.transport}/"
+            f"{self.scenario} [{self.transport}/"
             f"{self.recovery}] "
             f"expected {self.expected}, observed {self.observed} "
             f"({self.events} fault event(s) after shrinking)"
@@ -598,7 +590,6 @@ def _policy_from_json(doc: Optional[dict]) -> Optional[CheckpointPolicy]:
 
 def _make_reproducer(
     scenario: Scenario,
-    backend: str,
     transport: str,
     plan: FaultPlan,
     expected: str,
@@ -609,7 +600,6 @@ def _make_reproducer(
     return {
         "version": 1,
         "scenario": scenario.to_json(),
-        "backend": backend,
         "transport": transport,
         "verify_disabled": _transport._VERIFY_DISABLED,
         "plan": plan_to_json(plan),
@@ -629,7 +619,6 @@ _CRASH_FRACTIONS = (0.3, 0.6)
 
 def explore(
     workloads: Sequence[str] = ("fig2",),
-    backends: Sequence[str] = ("threads", "coop", "event"),
     seeds: int = 8,
     corrupt_rate: float = 0.05,
     targeted: bool = True,
@@ -645,8 +634,7 @@ def explore(
 
     Trials per workload: ``seeds`` rate-based corruption plans and (when
     ``targeted``) explicit schedules for the first ``targeted_limit``
-    critical-path messages, each under every backend and every entry of
-    ``transports`` (``"reliable"`` and/or ``"onesided"`` -- the
+    critical-path messages, each under every entry of ``transports`` (``"reliable"`` and/or ``"onesided"`` -- the
     one-sided window path must survive the same fault schedules
     bit-exactly, verifying corrupted puts before window commit) -- plus,
     for each targeted schedule, a direct-transport trial expecting a
@@ -696,39 +684,28 @@ def explore(
         # trace seeds the targeted schedules
         from .validate import run_spmd
 
-        oracle = run_spmd(
-            spmd, params, backend="threads", reliability="direct", trace=True
-        )
+        oracle = run_spmd(spmd, params, reliability="direct", trace=True)
         oracle_arrays = {
             myp: {n: a.copy() for n, a in arrays.items()}
             for myp, arrays in oracle.arrays.items()
         }
 
-        # (expected, backend, plan, transport, recovery, checkpoint)
+        # (expected, plan, transport, recovery, checkpoint)
         trials: List[tuple] = []
         for seed in range(seeds):
             plan = FaultPlan(seed=seed, corrupt_rate=corrupt_rate)
-            for backend in backends:
-                for transport in transports:
-                    trials.append(
-                        ("oracle", backend, plan, transport,
-                         "global", None)
-                    )
+            for transport in transports:
+                trials.append(("oracle", plan, transport, "global", None))
         if targeted:
             for src, dst, seq in _critical_channel_messages(
                 oracle.trace, targeted_limit
             ):
                 plan = FaultPlan(corruptions={(src, dst, seq): 0})
-                for backend in backends:
-                    for transport in transports:
-                        trials.append((
-                            "oracle", backend, plan, transport,
-                            "global", None,
-                        ))
-                    trials.append((
-                        "corruption-error", backend, plan, "direct",
-                        "global", None,
-                    ))
+                for transport in transports:
+                    trials.append(("oracle", plan, transport, "global", None))
+                trials.append(
+                    ("corruption-error", plan, "direct", "global", None)
+                )
         if crashes:
             ranks = sorted(oracle.arrays)
             targets = ranks[: min(2, len(ranks))]
@@ -737,17 +714,15 @@ def explore(
                     plan = FaultPlan(
                         crashes={rank: oracle.makespan * frac}
                     )
-                    for backend in backends:
-                        for mode in recovery_modes:
-                            trials.append((
-                                "oracle", backend, plan, "reliable",
-                                mode, _CRASH_POLICY,
-                            ))
+                    for mode in recovery_modes:
+                        trials.append((
+                            "oracle", plan, "reliable", mode, _CRASH_POLICY,
+                        ))
 
-        for expected, backend, plan, transport, recovery, policy in trials:
+        for expected, plan, transport, recovery, policy in trials:
             report.trials += 1
             observed = _observe(
-                spmd, params, backend, plan, transport, oracle_arrays,
+                spmd, params, plan, transport, oracle_arrays,
                 recovery=recovery, checkpoint=policy,
             )
             met = (
@@ -758,7 +733,7 @@ def explore(
             if met:
                 continue
             say(
-                f"{name} [{backend}/{transport}/{recovery}]: "
+                f"{name} [{transport}/{recovery}]: "
                 f"expected {expected}, "
                 f"observed {observed} -- shrinking"
             )
@@ -768,11 +743,9 @@ def explore(
                 entries_field = "crashes"
                 entries = list(plan.crashes)
             if not entries and plan.corrupt_rate > 0:
-                entries = _explicitize(
-                    spmd, params, backend, plan, transport
-                )
+                entries = _explicitize(spmd, params, plan, transport)
 
-            def fails(candidate, _plan=plan, _backend=backend,
+            def fails(candidate, _plan=plan,
                       _transport=transport, _observed=observed,
                       _recovery=recovery, _policy=policy,
                       _field=entries_field):
@@ -782,7 +755,7 @@ def explore(
                 )
                 return (
                     _observe(
-                        spmd, params, _backend, trial_plan, _transport,
+                        spmd, params, trial_plan, _transport,
                         oracle_arrays,
                         recovery=_recovery, checkpoint=_policy,
                     )
@@ -800,14 +773,13 @@ def explore(
                 events = len(shrunk)
             report.findings.append(ChaosFinding(
                 scenario=name,
-                backend=backend,
                 transport=transport,
                 expected=expected,
                 observed=observed,
                 plan=shrunk_plan,
                 events=events,
                 reproducer=_make_reproducer(
-                    scenario, backend, transport, shrunk_plan,
+                    scenario, transport, shrunk_plan,
                     expected, observed,
                     recovery=recovery, checkpoint=policy,
                 ),
@@ -836,15 +808,14 @@ def replay_reproducer(doc: dict) -> Tuple[bool, str]:
 
     ``reproduced`` is True when the replay observes exactly the failure
     kind the reproducer recorded -- the determinism guarantee the chaos
-    harness promises."""
+    harness promises.  The ``backend`` field older reproducers carry
+    is ignored: every run uses the one scheduler."""
     from .validate import run_spmd
 
     scenario = Scenario.from_json(doc["scenario"])
     plan = plan_from_json(doc["plan"])
     spmd = scenario.build()
-    oracle = run_spmd(
-        spmd, scenario.params, backend="threads", reliability="direct"
-    )
+    oracle = run_spmd(spmd, scenario.params, reliability="direct")
     oracle_arrays = {
         myp: {n: a.copy() for n, a in arrays.items()}
         for myp, arrays in oracle.arrays.items()
@@ -855,7 +826,6 @@ def replay_reproducer(doc: dict) -> Tuple[bool, str]:
         observed = _observe(
             spmd,
             scenario.params,
-            doc["backend"],
             plan,
             doc["transport"],
             oracle_arrays,

@@ -189,10 +189,7 @@ class CheckpointStore:
     globally consistent (see the module docstring).
 
     One store lives for one :meth:`Machine.run` call, across all
-    incarnations.  All mutation happens from processor threads on
-    their own keys, or from the supervision loop while every worker
-    thread is joined, so per-key access needs no locking; the delivery
-    log is guarded because any sender may append to any destination.
+    incarnations.
     """
 
     def __init__(
@@ -379,8 +376,7 @@ class CheckpointStore:
         machine traces and counts each).  The surviving snapshot is
         installed as the rank's current cut *before* log truncation
         and re-injection run, so the whole rollback is computed
-        against the fallback cut.  Must be called with every worker
-        thread joined (it mutates ``snapshots``)."""
+        against the fallback cut."""
         myp = tuple(myp)
         snap = self.snapshots.get(myp)
         if snap is None:
@@ -462,7 +458,7 @@ class CheckpointStore:
         tag-keyed stash's idempotent overwrite on the direct channel.
 
         Sorted by ``(arrival, order)``: the recorded per-receiver
-        delivery order, deterministic on the single-threaded backends.
+        delivery order.
         """
         dest = tuple(dest)
         snap = self.snapshots[dest]

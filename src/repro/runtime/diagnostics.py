@@ -1,24 +1,19 @@
 """Progress monitoring and deadlock diagnostics for the simulator.
 
-The original runtime detected a stuck node program only by waiting out
-a wall-clock timeout inside ``Processor.recv`` -- slow (the default
-budget is a minute) and uninformative (one processor's view).  This
-module replaces that with a *central wait-for audit*, the standard
-distributed-runtime construction:
+A stuck node program is diagnosed by a *central wait-for audit*, the
+standard distributed-runtime construction:
 
-* every processor registers with the monitor when it blocks in
-  ``recv`` (and deregisters when it wakes or exits);
-* the machine's transport reports every message entering the network
-  (``record_delivery``) and every message leaving a mailbox
+* every processor registers with the monitor when it parks on a
+  receive (and deregisters when it wakes or exits);
+* the machine reports every copy entering a mailbox
+  (``deliver_envelope``) and every copy leaving one
   (``record_dequeued``), so the monitor tracks the global *in-flight*
   count exactly;
 * **true deadlock** -- every live processor blocked in ``recv`` while
   the in-flight set is empty -- is therefore detectable the instant the
-  last processor blocks, by the blocking processor itself, with no
-  timers involved.  The detecting thread builds a structured
-  :class:`DeadlockReport` and wakes every blocked peer with a poison
-  pill so the whole machine fails fast (milliseconds, not the
-  wall-clock timeout).
+  last processor blocks, with no timers involved.  The monitor builds
+  a structured :class:`DeadlockReport` and puts a poison pill in every
+  blocked peer's mailbox, which the scheduler turns into failures.
 
 The report carries what an operator actually needs: each processor's
 model clock, the tag it is waiting for, what is sitting unread in its
@@ -28,8 +23,7 @@ consumed, which sends the network dropped outright).
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 __all__ = [
@@ -47,9 +41,8 @@ __all__ = [
 class DeadlockError(Exception):
     """The node program cannot make progress.
 
-    Carries an optional :class:`DeadlockReport` (``.report``) when the
-    failure was diagnosed by the progress monitor rather than by a
-    wall-clock timeout.
+    Carries the progress monitor's :class:`DeadlockReport` as
+    ``.report`` (``None`` only when raised without one).
     """
 
     def __init__(self, message: str, report: "DeadlockReport | None" = None):
@@ -125,7 +118,7 @@ class CrashError(Exception):
 
     Raised by the machine after a fail-stop crash when the restart
     budget is exhausted (graceful degradation: a structured report
-    instead of a hang, a deadlock, or a raw thread death).  Carries
+    instead of a hang, a deadlock, or a raw processor death).  Carries
     the :class:`CrashReport` as ``.report``.
     """
 
@@ -143,7 +136,7 @@ class _WakeSignal:
         return "<deadlock wake signal>"
 
 
-#: singleton instance; ``Processor.recv`` checks identity against it.
+#: singleton instance; the scheduler checks identity against it.
 WAKE = _WakeSignal()
 
 
@@ -219,14 +212,12 @@ class DeadlockReport:
 class ProgressMonitor:
     """Central wait-for audit over one :class:`~.machine.Machine` run.
 
-    Thread-safe; every mutation happens under one lock, and the
-    deadlock test runs inside the same critical section as the state
-    change that could complete it, so detection is race-free.
+    The scheduler drives every rank on one thread, so each mutation and
+    the deadlock test that could follow from it run back to back.
     """
 
     def __init__(self, machine) -> None:
         self.machine = machine
-        self._lock = threading.Lock()
         self.reset(total=None)
 
     def reset(self, total: Optional[int]) -> None:
@@ -237,7 +228,8 @@ class ProgressMonitor:
         self.finished: set = set()
         self.failed: set = set()
         self.in_flight = 0
-        self.deadlocked = threading.Event()
+        #: set once a true deadlock is proven (WAKE pills pushed)
+        self.deadlocked = False
         self.report: Optional[DeadlockReport] = None
         self._sends: List[tuple] = []  # (src, dest, tag, delivered)
         self._recvs: List[tuple] = []  # (dest, tag)
@@ -246,62 +238,41 @@ class ProgressMonitor:
 
     def record_send(self, src, dest, tag, delivered: bool) -> None:
         """One *logical* message's fate (after any retransmissions)."""
-        with self._lock:
-            self._sends.append((tuple(src), tuple(dest), tag, delivered))
-
-    def record_delivery(self, dest=None) -> bool:
-        """A physical copy is about to enter ``dest``'s mailbox.
-
-        Returns False when the destination's thread has already exited
-        (finished, failed, or crashed): the copy should be discarded
-        rather than parked forever in a mailbox nobody will drain --
-        otherwise one late duplicate to a finished processor would
-        blind the deadlock detector (``in_flight`` never returns to 0).
-        """
-        with self._lock:
-            if dest is not None and tuple(dest) in self.finished:
-                return False
-            self.in_flight += 1
-            return True
+        self._sends.append((tuple(src), tuple(dest), tag, delivered))
 
     def deliver_envelope(self, dest, envelope) -> bool:
-        """Atomically count and enqueue one copy (or discard it if the
-        destination already exited).  The count and the enqueue happen
-        under one lock so a concurrent ``finish``-drain can never strand
-        a counted copy in a dead mailbox."""
+        """Count and enqueue one copy, or discard it when the
+        destination already exited (finished, failed, or crashed): a
+        copy parked forever in a mailbox nobody drains would blind the
+        deadlock detector (``in_flight`` never returns to 0)."""
         dest = tuple(dest)
-        with self._lock:
-            if dest in self.finished:
-                return False
-            self.in_flight += 1
-            self.machine.procs[dest].mailbox.put(envelope)
-            return True
+        if dest in self.finished:
+            return False
+        self.in_flight += 1
+        self.machine.procs[dest].mailbox.put(envelope)
+        return True
 
     def record_dequeued(self) -> None:
         """A physical copy left a mailbox (stashed or dedup-dropped)."""
-        with self._lock:
-            self.in_flight -= 1
+        self.in_flight -= 1
 
     def record_recv(self, dest, tag) -> None:
         """The node program consumed a message."""
-        with self._lock:
-            self._recvs.append((tuple(dest), tag))
+        self._recvs.append((tuple(dest), tag))
 
     # -- processor lifecycle -------------------------------------------------
 
     def block(self, myp: Tuple[int, ...], tag: tuple) -> None:
         """``myp`` is about to wait for ``tag``; may diagnose deadlock."""
-        with self._lock:
-            self.blocked[myp] = tag
-            self._check_locked()
+        self.blocked[myp] = tag
+        self._check()
 
     def unblock(self, myp: Tuple[int, ...]) -> None:
-        with self._lock:
-            self.blocked.pop(myp, None)
+        self.blocked.pop(myp, None)
 
     def finish(self, myp: Tuple[int, ...], clean: bool = True) -> None:
-        """``myp``'s thread exited (cleanly or with an error); a death
-        can complete a deadlock for the survivors, so re-check.
+        """``myp``'s node program exited (cleanly or with an error); a
+        death can complete a deadlock for the survivors, so re-check.
 
         The processor's mailbox is drained: whatever is still parked
         there will never be dequeued, so it must leave the in-flight
@@ -309,62 +280,46 @@ class ProgressMonitor:
         crashed processor's unread messages complete a deadlock
         diagnosis for the survivors instantly).
         """
-        with self._lock:
-            self.blocked.pop(myp, None)
-            self.finished.add(myp)
-            if not clean:
-                self.failed.add(myp)
-            self._drain_locked(myp)
-            self._check_locked()
+        self.blocked.pop(myp, None)
+        self.finished.add(myp)
+        if not clean:
+            self.failed.add(myp)
+        self._drain(myp)
+        self._check()
 
     def replace_proc(self, myp, fresh) -> None:
         """Swap in a freshly restored incarnation of ``myp`` (local
-        recovery).  The old incarnation's mailbox is drained -- every
-        copy parked there is also in the sender log and will be
-        re-injected by the caller -- and the swap happens under the
-        same lock :meth:`deliver_envelope` takes, so a concurrent
-        sender either lands in the old mailbox (drained here, then
-        re-served from the log) or in the fresh one (the re-served
-        duplicate is absorbed by ARQ dedup / the tag-keyed stash).
-        Either way the copy stays counted exactly once."""
-        with self._lock:
-            self._drain_locked(myp)
-            self.machine.procs[myp] = fresh
+        recovery).  The old incarnation's mailbox is drained first --
+        every copy parked there is also in the sender log and will be
+        re-injected by the caller -- so each copy stays counted
+        exactly once."""
+        self._drain(myp)
+        self.machine.procs[myp] = fresh
 
-    def _drain_locked(self, myp: Tuple[int, ...]) -> None:
+    def _drain(self, myp: Tuple[int, ...]) -> None:
         proc = self.machine.procs.get(myp)
         if proc is None:
             return
-        import queue as _queue
-
-        while True:
-            try:
-                item = proc.mailbox.get_nowait()
-            except _queue.Empty:
-                return
+        for item in proc.mailbox.drain():
             if item is not WAKE:
                 self.in_flight -= 1
 
     # -- detection -----------------------------------------------------------
 
-    def _check_locked(self) -> None:
-        if self.total is None or self.deadlocked.is_set():
+    def _check(self) -> None:
+        if self.total is None or self.deadlocked:
             return
         if not self.blocked or self.in_flight != 0:
             return
         if len(self.blocked) + len(self.finished) < self.total:
             return  # somebody is still computing
-        self.report = self._build_report_locked()
-        self.deadlocked.set()
+        self.report = self.build_report()
+        self.deadlocked = True
         for myp in self.blocked:
             self.machine.procs[myp].mailbox.put(WAKE)
 
     def build_report(self) -> DeadlockReport:
-        """Snapshot for timeout paths (no deadlock proven)."""
-        with self._lock:
-            return self._build_report_locked()
-
-    def _build_report_locked(self) -> DeadlockReport:
+        """Snapshot of every processor and the send/recv audit."""
         received = {(d, t) for d, t in self._recvs}
         unmatched, dropped = [], []
         delivered_n = dropped_n = 0

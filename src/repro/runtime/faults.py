@@ -11,10 +11,10 @@ Every fault decision is a pure function of ``(seed, kind, src, dest,
 tag, attempt)`` hashed through BLAKE2b, so a run's fault pattern is
 
 * **reproducible**: the same seed gives the same drops/duplicates/
-  delays regardless of thread scheduling or wall-clock timing;
+  delays on every run;
 * **independent per message**: decisions are i.i.d. uniform variates,
   one stream per decision kind, with no shared-RNG ordering hazards
-  between processor threads.
+  between processors.
 
 Fault classes modeled (all optional, all off by default):
 
@@ -50,7 +50,7 @@ Fault classes modeled (all optional, all off by default):
     word_index}`` naming exactly which word of which logical message is
     flipped (``seq`` is the per-``(src, dst)`` channel message ordinal,
     counted from 0 in the sender's deterministic program order --
-    identical across transports and backends, so schedules are
+    identical across transports, so schedules are
     replayable anywhere).  Explicit corruptions hit the original
     transmission (attempt 0); the rate stream is keyed by ``(src, dst,
     seq, attempt)`` so ARQ retransmissions re-roll.  Detection and
@@ -65,7 +65,7 @@ Fault classes modeled (all optional, all off by default):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Mapping, Optional, Tuple, Union
 
@@ -97,7 +97,7 @@ def flip_word(payload, index: int) -> None:
 class ProcessorCrashed(Exception):
     """A fail-stop crash fault fired on one processor.
 
-    Raised inside the processor's own thread to kill it mid-program;
+    Raised inside the processor's node program to kill it mid-program;
     the machine's supervision loop catches it and either rolls every
     processor back to the last checkpoint or gives up with a
     :class:`~repro.runtime.diagnostics.CrashError`.

@@ -2,9 +2,9 @@
 
 Substitute for the paper's Intel iPSC/860: P processors, each with a
 private address space, exchanging point-to-point messages.  Each
-processor runs the generated SPMD node program in its own thread;
-channels are tagged mailboxes (values are deterministic regardless of
-thread scheduling), and time is modeled with per-processor Lamport
+processor runs the generated SPMD node program as a coroutine driven
+by one deterministic :class:`~.scheduler.Scheduler`; channels are
+tagged mailboxes, and time is modeled with per-processor Lamport
 clocks under a LogGP-like cost model:
 
 * ``flop_time`` per scalar operation executed;
@@ -28,21 +28,18 @@ Reliability layers (see DESIGN.md "Runtime reliability"):
 * faults come from a deterministic :class:`~.faults.FaultPlan`;
 * a central :class:`~.diagnostics.ProgressMonitor` detects true
   deadlock (all live processors blocked in ``recv`` with an empty
-  in-flight set) instantly and reports it with a structured audit,
-  instead of waiting out the wall-clock timeout;
+  in-flight set) instantly and reports it with a structured audit;
 * **fail-stop crashes** (``FaultPlan.crash_rate`` / ``crashes``) kill a
-  processor thread mid-program; a supervision loop in :meth:`Machine.run`
+  processor mid-program; a supervision loop in :meth:`Machine.run`
   detects the death, rolls every processor back to its last
-  :mod:`~.checkpoint` snapshot, replays deterministically on fresh
-  threads, and gives up with a structured
-  :class:`~.diagnostics.CrashError` once ``max_restarts`` is spent.
+  :mod:`~.checkpoint` snapshot, replays deterministically, and gives
+  up with a structured :class:`~.diagnostics.CrashError` once
+  ``max_restarts`` is spent.
 """
 
 from __future__ import annotations
 
 import inspect
-import queue
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields as _dc_fields
@@ -54,13 +51,13 @@ from ..decomp import DataDecomp, ProcSpace
 from ..ir import Program, allocate_arrays
 from .checkpoint import CheckpointPolicy, CheckpointStore
 from .diagnostics import (
-    WAKE,
     CrashError,
     CrashEvent,
     DeadlockError,
     ProgressMonitor,
 )
 from .faults import FaultPlan, ProcessorCrashed
+from .scheduler import Scheduler
 from .trace import TraceBuffer, TraceEvent
 from .transport import (
     CorruptionError,
@@ -262,11 +259,8 @@ del _idx, _name
 
 
 class _LightMailbox:
-    """Mailbox for single-threaded backends: ``queue.Queue`` semantics
-    (``put`` / ``get_nowait`` raising ``queue.Empty``) over a plain
-    deque with none of the locking.  A real Queue is a mutex plus three
-    condition variables -- measurable both per message and per rank
-    once P reaches the thousands."""
+    """A rank's incoming wire copies, oldest first: a plain deque (one
+    thread drives every rank, so no locking)."""
 
     __slots__ = ("_items",)
 
@@ -276,19 +270,15 @@ class _LightMailbox:
     def put(self, item) -> None:
         self._items.append(item)
 
-    def get_nowait(self):
-        try:
-            return self._items.popleft()
-        except IndexError:
-            raise queue.Empty from None
+    def drain(self):
+        """Pop and yield every queued item, oldest first.  Items left
+        unconsumed when the caller stops stay queued."""
+        items = self._items
+        while items:
+            yield items.popleft()
 
-    def get(self, timeout=None):
-        # single-threaded backends: nothing can arrive while this rank
-        # holds the thread, so an empty mailbox is final
-        return self.get_nowait()
-
-    def empty(self) -> bool:
-        return not self._items
+    def __len__(self) -> int:
+        return len(self._items)
 
 
 @dataclass
@@ -319,9 +309,8 @@ class RunResult:
     #: total node-program operations executed (the loop-cursor sum) --
     #: the "events" of the events/sec throughput metric
     sim_events: int = 0
-    #: scheduler wakeups (coroutine resumes) across incarnations;
-    #: None on the threaded backend, which has no scheduler
-    sched_wakeups: Optional[int] = None
+    #: scheduler wakeups (coroutine resumes) across incarnations
+    sched_wakeups: int = 0
     #: model time of completed work discarded by crashes: for every
     #: rank a rollback rewound, the distance from its rollback cut to
     #: the clock it had reached.  Global rollback pays this for all P
@@ -374,7 +363,7 @@ class Processor:
         # a standalone row by default; Machine.run/_rollback rebind it
         # to the machine's shared StatsArray block (DESIGN.md §13)
         self.stats = ProcStatsView()
-        self.mailbox = machine._make_mailbox()
+        self.mailbox = _LightMailbox()
         self._stash: Dict[tuple, Tuple[List[float], float]] = {}
         self._mc_cache: Dict[tuple, List[float]] = {}
         self._stmts = {s.name: s for s in machine.program.statements()}
@@ -605,50 +594,18 @@ class Processor:
         """
         self.send(dest, tag, payload)
 
-    def recv(
-        self, src: Tuple[int, ...], tag: tuple, fenced: bool = False
-    ) -> List[float]:
-        # ``src`` is advisory (kept for readable generated code); the tag
-        # alone identifies the message -- it embeds the virtual sender.
-        replayed = self._recv_prologue(tag, fenced=fenced)
-        if replayed is not None:
-            return replayed
-        machine = self.machine
-        monitor = machine.monitor
-        # one absolute deadline for the whole wait: pulling unrelated
-        # messages must not keep granting a fresh full timeout
-        deadline = time.monotonic() + machine.timeout
-        while tag not in self._stash:
-            monitor.block(self.myp, tag)
-            try:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise queue.Empty
-                envelope = self.mailbox.get(timeout=remaining)
-            except queue.Empty:
-                monitor.unblock(self.myp)
-                raise DeadlockError(
-                    f"processor {self.myp} waited {machine.timeout:g}s "
-                    f"(wall clock) on {tag}",
-                    report=monitor.build_report(),
-                ) from None
-            monitor.unblock(self.myp)
-            if envelope is WAKE:
-                raise DeadlockError(
-                    f"deadlock: processor {self.myp} waits on {tag}, which "
-                    f"no in-flight or future message can satisfy",
-                    report=monitor.report,
-                )
-            self._recv_accept(envelope)
-        return self._recv_finish(tag, fenced=fenced)
+    # -- receive halves (the scheduler decides when each runs) ---------------
+    #
+    # A node program yields ``('recv', src, tag)``; ``src`` is advisory
+    # (kept for readable generated code) -- the tag alone identifies the
+    # message, since it embeds the virtual sender.
 
     def _recv_prologue(
         self, tag: Optional[tuple] = None, fenced: bool = False
     ):
-        """The pre-wait half of ``recv``: loop-cursor advance, replay
+        """The pre-wait half of a receive: loop-cursor advance, replay
         fast path, crash/stall checks.  Returns the replayed payload
         during fast-forward, None when the receive must run live.
-        Shared by the blocking (threads) and yielding (coop) paths.
         ``fenced`` marks a one-sided early-put consumption: the wait
         marker becomes a ``fence-wait`` (the program is waiting at a
         window synchronization point, not a per-message rendezvous)."""
@@ -658,9 +615,7 @@ class Processor:
         self._maybe_stall()
         trace = self.machine.trace
         if trace is not None:
-            # the wait begins here, at a deterministic model clock (how
-            # long it lasts in *wall* time is a backend artifact the
-            # trace never records)
+            # the wait begins here, at a deterministic model clock
             trace.emit(TraceEvent(
                 kind="fence-wait" if fenced else "recv-wait",
                 rank=self.myp, start=self.clock,
@@ -685,8 +640,6 @@ class Processor:
                 self.stats.corrupt_dropped += 1
                 trace = machine.trace
                 if trace is not None:
-                    # like dup-drop, *which* wait dequeues the bad copy
-                    # is a wall-clock artifact (UNSTABLE_KINDS)
                     trace.emit(TraceEvent(
                         kind="corrupt-drop", rank=self.myp,
                         start=self.clock, end=self.clock,
@@ -709,9 +662,6 @@ class Processor:
                 self.stats.duplicates_dropped += 1
                 trace = machine.trace
                 if trace is not None:
-                    # which *wait* dequeues the duplicate is a wall-clock
-                    # artifact, so this marker is excluded from the
-                    # normalized cross-backend view (UNSTABLE_KINDS)
                     trace.emit(TraceEvent(
                         kind="dup-drop", rank=self.myp, start=self.clock,
                         end=self.clock, tag=envelope.tag,
@@ -727,7 +677,7 @@ class Processor:
         machine.recycle_envelope(envelope)
 
     def _recv_finish(self, tag: tuple, fenced: bool = False):
-        """The post-wait half of ``recv``: pop the stashed payload and
+        """The post-wait half of a receive: pop the stashed payload and
         charge the receive to the clock/stats.  The caller must have
         established ``tag in self._stash``.
 
@@ -743,9 +693,9 @@ class Processor:
         machine.monitor.record_recv(self.myp, tag)
         cost = machine.cost
         # receiver-side checksum verification is charged at this
-        # deterministic program point (not at the wall-clock-dependent
-        # mailbox dequeue) and folded into the receive overhead so the
-        # decomposition identity survives; free unless priced
+        # program point (not at the mailbox dequeue) and folded into
+        # the receive overhead so the decomposition identity survives;
+        # free unless priced
         overhead = cost.fence_time if fenced else cost.recv_overhead
         if machine.transport.checksummed:
             overhead += cost.checksum_word_time * len(payload)
@@ -784,25 +734,12 @@ class Processor:
         self._after_op()
         return payload
 
-    def recv_mc(
-        self, src: Tuple[int, ...], tag: tuple, fenced: bool = False
-    ) -> List[float]:
-        """Receive a per-physical-processor (multicast) message.
-
-        The payload is cached: every virtual processor emulated on this
-        physical node consumes the same message, but only the first
-        consumption pays the receive cost (the rest are local reuse).
-        """
-        if tag in self._mc_cache:
-            self._trace_mc_hit(tag)
-            return self._mc_cache[tag]
-        payload = self.recv(src, tag, fenced=fenced)
-        self._mc_cache[tag] = payload
-        return payload
-
     def _trace_mc_hit(self, tag: tuple) -> None:
         """Record a multicast-cache reuse (free: no message, no cost).
-        Called by both backends' cached-receive paths."""
+
+        A ``recv_mc`` payload is cached per physical processor: every
+        virtual processor emulated here consumes the same message, but
+        only the first consumption pays the receive cost."""
         trace = self.machine.trace
         if trace is not None:
             trace.emit(TraceEvent(
@@ -825,9 +762,9 @@ class Processor:
         """Mark this processor's node program complete.
 
         Emitted at the end of generated node programs; lets the
-        progress monitor distinguish a clean completion from a thread
-        that died, and lets a peer's death complete a deadlock
-        diagnosis for the survivors.  Idempotent.
+        progress monitor distinguish a clean completion from a
+        processor that died, and lets a peer's death complete a
+        deadlock diagnosis for the survivors.  Idempotent.
         """
         self.machine.monitor.finish(self.myp, clean=True)
 
@@ -931,45 +868,6 @@ class Processor:
             self._check_scheduled(plan)
 
 
-def drive_node(node_fn: Callable, proc: Processor) -> None:
-    """Drive one node program on ``proc``, blocking-recv style.
-
-    Generated node programs are generator functions that *yield*
-    receive requests -- ``('recv', src, tag)`` / ``('recv_mc', src,
-    tag)``, or their fenced one-sided forms ``('recv_fence', src,
-    tag)`` / ``('recv_mc_fence', src, tag)`` emitted by early-put
-    codegen -- instead of calling ``proc.recv`` directly, so the same
-    program text runs under both the threaded backend (this driver
-    answers each request with a blocking receive) and the cooperative
-    scheduler (which parks the coroutine until the message exists).
-    Plain callables (hand-written harness programs) are invoked
-    directly, unchanged.
-    """
-    if not inspect.isgeneratorfunction(node_fn):
-        node_fn(proc)
-        return
-    gen = node_fn(proc)
-    try:
-        request = next(gen)
-        while True:
-            kind, src, tag = request
-            if kind == "recv":
-                payload = proc.recv(src, tag)
-            elif kind == "recv_mc":
-                payload = proc.recv_mc(src, tag)
-            elif kind == "recv_fence":
-                payload = proc.recv(src, tag, fenced=True)
-            elif kind == "recv_mc_fence":
-                payload = proc.recv_mc(src, tag, fenced=True)
-            else:
-                raise TypeError(
-                    f"node program yielded unknown request kind {kind!r}"
-                )
-            request = gen.send(payload)
-    except StopIteration:
-        pass
-
-
 class Machine:
     """P processors with private memories and tagged channels.
 
@@ -980,6 +878,13 @@ class Machine:
     specific transport (booleans are accepted: ``True`` = reliable,
     ``False`` = raw).  An explicit ``transport`` instance overrides
     the selection.
+
+    Every run is driven by the one deterministic
+    :class:`~.scheduler.Scheduler`.  ``backend`` is accepted for
+    existing callers only: ``"event"`` (the default) and ``"coop"``
+    both name that engine, and ``"threads"`` is refused.  ``timeout``
+    is a wall-clock budget per incarnation (``4 * timeout`` seconds)
+    for node programs that never terminate.
     """
 
     def __init__(
@@ -997,23 +902,26 @@ class Machine:
         transport: Optional[Transport] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
         max_restarts: int = 3,
-        backend: str = "threads",
+        backend: str = "event",
         trace: Union[bool, TraceBuffer, None] = None,
         checksums: Optional[bool] = None,
         recovery: str = "global",
         log_bytes_cap: Optional[int] = None,
     ):
-        if backend not in ("threads", "coop", "event"):
+        if backend == "threads":
             raise ValueError(
-                f"unknown backend {backend!r} "
-                f"(expected 'threads', 'coop' or 'event')"
+                "the threaded backend was removed: every run uses the "
+                "deterministic event scheduler (omit backend=)"
+            )
+        if backend not in ("event", "coop"):
+            raise ValueError(
+                f"unknown backend {backend!r} (expected 'event')"
             )
         if recovery not in ("global", "local"):
             raise ValueError(
                 f"unknown recovery mode {recovery!r} "
                 f"(expected 'global' or 'local')"
             )
-        self.backend = backend
         #: event trace: None (off, the default -- observably free),
         #: True (allocate a fresh buffer), or a caller-owned TraceBuffer
         self.trace: Optional[TraceBuffer] = (
@@ -1024,8 +932,8 @@ class Machine:
         self.params = dict(params)
         self.pshape = space.physical_shape(self.params)
         #: every physical coordinate, sorted -- the deterministic rank
-        #: order every backend iterates in, precomputed once instead of
-        #: re-sorting ``machine.procs`` in scheduler hot loops
+        #: order, precomputed once instead of re-sorting
+        #: ``machine.procs`` in scheduler hot loops
         self.rank_order: List[Tuple[int, ...]] = sorted(
             tuple(c) for c in space.all_physical(self.params)
         )
@@ -1039,24 +947,18 @@ class Machine:
         self._canon: Dict[Tuple[int, ...], Tuple[int, ...]] = {
             c: c for c in self.rank_order
         }
-        single_threaded = backend in ("coop", "event")
-        #: COSMA-style buffer discipline (single-threaded backends
-        #: only, where no lock is needed): consumed envelope shells and
+        #: COSMA-style buffer discipline: consumed envelope shells and
         #: dropped wire-copy buffers are recycled instead of
         #: re-allocated per message (DESIGN.md §13)
-        self._envelope_pool: Optional[List[Envelope]] = (
-            [] if single_threaded else None
-        )
-        self._payload_pool: Optional[Dict[tuple, List[np.ndarray]]] = (
-            {} if single_threaded else None
-        )
-        #: hook for the event backend: called with the destination rank
-        #: after every successful mailbox delivery, so parked coroutines
-        #: are flagged for wakeup instead of polled
+        self._envelope_pool: List[Envelope] = []
+        self._payload_pool: Dict[tuple, List[np.ndarray]] = {}
+        #: the scheduler's hook: called with the destination rank after
+        #: every successful mailbox delivery, so parked coroutines are
+        #: flagged for wakeup instead of polled
         self._delivery_watcher: Optional[Callable] = None
-        #: scheduler wakeups accumulated across incarnations (None on
-        #: the threaded backend); StatsArray block for the current run
-        self._sched_wakeups: Optional[int] = None
+        #: scheduler wakeups accumulated across incarnations; StatsArray
+        #: block for the current run
+        self._sched_wakeups = 0
         self._stats_block: Optional[StatsArray] = None
         self.cost = cost or CostModel()
         self.timeout = timeout
@@ -1091,12 +993,8 @@ class Machine:
         #: the default path so checkpointing costs nothing when unused
         self.checkpoints: Optional[CheckpointStore] = None
         self._fired_crashes: set = set()
-        self._crash_lock = threading.Lock()
-        #: serializes concurrent local recoveries (threads backend)
-        self._recovery_lock = threading.Lock()
         # supervision counters, machine-level so both the run() loop
-        # (global) and _local_recover (local, possibly concurrent) can
-        # accumulate into them
+        # (global) and _local_recover (local) accumulate into them
         self._restarts = 0
         self._recovery_time = 0.0
         self._work_wasted = 0.0
@@ -1106,11 +1004,10 @@ class Machine:
         """Claim a scheduled crash for ``myp``; True exactly once per
         run, so a restarted incarnation does not re-die at the same
         scheduled instant."""
-        with self._crash_lock:
-            if myp in self._fired_crashes:
-                return False
-            self._fired_crashes.add(myp)
-            return True
+        if myp in self._fired_crashes:
+            return False
+        self._fired_crashes.add(myp)
+        return True
 
     def _select_transport(
         self,
@@ -1164,16 +1061,10 @@ class Machine:
         rank = tuple(rank)
         return self._canon.get(rank, rank)
 
-    def _make_mailbox(self):
-        if self.backend == "threads":
-            return queue.Queue()
-        return _LightMailbox()
-
     def make_envelope(
         self, src, seq, tag, payload, arrival, sender_pc=0, checksum=None
     ) -> Envelope:
-        """One wire envelope, drawn from the recycling pool on
-        single-threaded backends."""
+        """One wire envelope, drawn from the recycling pool."""
         pool = self._envelope_pool
         if pool:
             env = pool.pop()
@@ -1191,21 +1082,16 @@ class Machine:
         """Return a consumed envelope shell to the pool.  Callers
         guarantee the shell is dead: its payload (if it survived) is
         owned by the receiver's stash by now."""
-        pool = self._envelope_pool
-        if pool is not None:
-            envelope.payload = None
-            pool.append(envelope)
+        envelope.payload = None
+        self._envelope_pool.append(envelope)
 
     def wire_copy(self, payload):
         """A private wire copy of ``payload``, reusing a recycled
         buffer of the same dtype and length when one is available."""
-        pool = self._payload_pool
-        if (
-            pool is not None
-            and type(payload) is np.ndarray
-            and payload.ndim == 1
-        ):
-            bucket = pool.get((payload.dtype.str, payload.shape[0]))
+        if type(payload) is np.ndarray and payload.ndim == 1:
+            bucket = self._payload_pool.get(
+                (payload.dtype.str, payload.shape[0])
+            )
             if bucket:
                 buf = bucket.pop()
                 buf[:] = payload
@@ -1217,13 +1103,8 @@ class Machine:
         called for copies that never escaped the accept path
         (dedup-dropped / corrupt-dropped), so no live reference can
         alias the recycled buffer."""
-        pool = self._payload_pool
-        if (
-            pool is not None
-            and type(payload) is np.ndarray
-            and payload.ndim == 1
-        ):
-            pool.setdefault(
+        if type(payload) is np.ndarray and payload.ndim == 1:
+            self._payload_pool.setdefault(
                 (payload.dtype.str, payload.shape[0]), []
             ).append(payload)
 
@@ -1276,6 +1157,14 @@ class Machine:
         initial_data: Optional[Dict[str, DataDecomp]] = None,
         seed: int = 0,
     ) -> RunResult:
+        if not inspect.isgeneratorfunction(node_fn):
+            raise TypeError(
+                f"node program {getattr(node_fn, '__name__', node_fn)!r} "
+                f"is not a generator function: write each receive as "
+                f"'payload = yield (\"recv\", src, tag)' (or "
+                f"\"recv_mc\"), and give a program with no receives a "
+                f"dead 'yield' so it stays a generator"
+            )
         coords = self.rank_order
         # crash tolerance is armed only when it can matter, so the
         # default path carries zero logging/snapshot overhead
@@ -1313,19 +1202,18 @@ class Machine:
         if self.checkpoints is not None:
             for proc in self.procs.values():
                 self.checkpoints.baseline(proc)
-        if self.trace is not None:
-            for myp in coords:
-                self.trace.register(myp)
         self.monitor.reset(total=len(self.procs))
 
         self._restarts = 0
         self._recovery_time = 0.0
         self._work_wasted = 0.0
         self._crash_events = []
-        self._sched_wakeups = None
+        self._sched_wakeups = 0
         wall_start = time.perf_counter()
         while True:
-            failures = self._run_incarnation(node_fn)
+            scheduler = Scheduler(self)
+            failures = scheduler.run(node_fn)
+            self._sched_wakeups += scheduler.steps
             crashes = [
                 exc for _, exc in failures
                 if isinstance(exc, ProcessorCrashed)
@@ -1334,22 +1222,10 @@ class Machine:
                 self._raise_failures(failures)
                 break
             if self.recovery == "local":
-                # every recoverable crash was already handled in place
-                # by _local_recover (which records the event and emits
-                # the trace marker); a ProcessorCrashed surfacing here
-                # means the restart budget is spent, there is no store,
-                # or the program ran outside the driver (plain node_fn)
-                recorded = {
-                    (e.myp, e.model_time, e.op_index, e.incarnation)
-                    for e in self._crash_events
-                }
-                for exc in crashes:
-                    key = (
-                        exc.myp, exc.model_time,
-                        exc.op_index, exc.incarnation,
-                    )
-                    if key not in recorded:
-                        self._record_crash(exc)
+                # every crash was already recorded (and, budget and
+                # store permitting, recovered in place) by
+                # _local_recover; one surfacing here means the restart
+                # budget is spent or there is no store
                 report = self._build_crash_report(
                     self._crash_events, self._restarts
                 )
@@ -1405,7 +1281,7 @@ class Machine:
     def _record_crash(self, exc: ProcessorCrashed) -> CrashEvent:
         """Append one observed crash to the run's event list and emit
         its trace marker.  Called by the global supervision loop and by
-        :meth:`_local_recover` (under its lock)."""
+        :meth:`_local_recover`."""
         event = CrashEvent(
             myp=exc.myp,
             model_time=exc.model_time,
@@ -1421,81 +1297,6 @@ class Machine:
                 incarnation=event.incarnation, note=event.cause,
             ))
         return event
-
-    def _run_incarnation(
-        self, node_fn: Callable
-    ) -> List[Tuple[Tuple[int, ...], BaseException]]:
-        """Run every processor to completion once and return the
-        failures.  The threaded backend reaps ALL threads (even on
-        failure paths); the cooperative and event backends interleave
-        the processors as coroutines on this thread."""
-        if self.backend in ("coop", "event"):
-            from .scheduler import CoopScheduler, EventScheduler
-
-            cls = EventScheduler if self.backend == "event" else CoopScheduler
-            scheduler = cls(self)
-            failures = scheduler.run(node_fn)
-            self._sched_wakeups = (
-                self._sched_wakeups or 0
-            ) + scheduler.steps
-            return failures
-        failures: List[Tuple[Tuple[int, ...], BaseException]] = []
-        failures_lock = threading.Lock()
-
-        def runner(proc: Processor):
-            clean = False
-            try:
-                while True:
-                    try:
-                        drive_node(node_fn, proc)
-                        clean = True
-                        break
-                    except ProcessorCrashed as exc:
-                        # local recovery restarts only this rank, on
-                        # this same thread; every other rank keeps
-                        # running undisturbed
-                        if self.recovery != "local":
-                            raise
-                        fresh = self._local_recover(exc)
-                        if fresh is None:
-                            with failures_lock:
-                                failures.append((proc.myp, exc))
-                            break
-                        proc = fresh
-            except BaseException as exc:  # noqa: BLE001 - surfaced below
-                with failures_lock:
-                    failures.append((proc.myp, exc))
-            finally:
-                self.monitor.finish(proc.myp, clean=clean)
-
-        threads = [
-            threading.Thread(target=runner, args=(proc,), daemon=True)
-            for proc in self.procs.values()
-        ]
-        for t in threads:
-            t.start()
-        # one shared wall-clock budget for the whole incarnation
-        deadline = time.monotonic() + self.timeout * 4
-        for t in threads:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-        leaked = [t for t in threads if t.is_alive()]
-        if leaked:
-            # wake anything still blocked in recv so the threads can
-            # observe the failure and exit instead of leaking
-            for proc in self.procs.values():
-                proc.mailbox.put(WAKE)
-            for t in leaked:
-                t.join(timeout=2.0)
-            leaked = [t for t in threads if t.is_alive()]
-        with failures_lock:
-            done = list(failures)
-        if leaked:
-            raise DeadlockError(
-                f"node program did not terminate "
-                f"({len(leaked)} worker thread(s) leaked)",
-                report=self.monitor.build_report(),
-            )
-        return done
 
     def _rollback(
         self, events: List[CrashEvent], incarnation: int
@@ -1556,13 +1357,11 @@ class Machine:
                 myp,
                 {name: arr.copy() for name, arr in snap.arrays.items()},
             )
-            if self._stats_block is not None:
-                # reuse the rank's block row: a fresh incarnation starts
-                # from zero stats, then the replay's _restore loads the
-                # snapshot's counters over it
-                view = self._stats_block.view(self.rank_id[myp])
-                view.reset()
-                proc.stats = view
+            # reuse the rank's block row: a fresh incarnation starts
+            # from zero stats, then the replay's _restore loads the
+            # snapshot's counters over it
+            proc.stats = self._stats_block.view(self.rank_id[myp])
+            proc.stats.reset()
             proc._incarnation = incarnation
             proc._ff_target = snap.pc
             proc._resume_clock = resume
@@ -1602,75 +1401,70 @@ class Machine:
         Returns the fresh incarnation (already swapped into ``procs``
         and monitor-visible), or None when recovery cannot proceed (no
         checkpoint store or the restart budget is spent) -- the caller
-        then surfaces the crash as a failure.  Serialized by
-        ``_recovery_lock``: concurrent crashes on the threads backend
-        recover one at a time, each touching only its own rank's state.
+        then surfaces the crash as a failure.
         """
-        with self._recovery_lock:
-            myp = self.canon(exc.myp)
-            self._record_crash(exc)
-            store = self.checkpoints
-            if store is None or self._restarts >= self.max_restarts:
-                return None
-            self._restarts += 1
-            snap, rejected = store.resolve_valid(myp)
-            for bad in rejected:
-                if self.trace is not None:
-                    self.trace.emit(TraceEvent(
-                        kind="snapshot-corrupt", rank=myp,
-                        start=exc.model_time, end=exc.model_time,
-                        incarnation=exc.incarnation,
-                        note=(
-                            f"snapshot at op {bad.pc} (ordinal "
-                            f"{bad.ordinal}) failed digest verification"
-                        ),
-                    ))
-            store.truncate_recv_log(myp)
-            cost = self.cost
-            resume = (
-                max(snap.clock, exc.model_time)
-                + cost.restart_penalty
-                + cost.checkpoint_word_time * snap.words
-            )
-            self._recovery_time += resume - snap.clock
-            self._work_wasted += max(0.0, exc.model_time - snap.clock)
-            incarnation = exc.incarnation + 1
+        myp = self.canon(exc.myp)
+        self._record_crash(exc)
+        store = self.checkpoints
+        if store is None or self._restarts >= self.max_restarts:
+            return None
+        self._restarts += 1
+        snap, rejected = store.resolve_valid(myp)
+        for bad in rejected:
             if self.trace is not None:
                 self.trace.emit(TraceEvent(
-                    kind="restart", rank=myp, start=snap.clock, end=resume,
-                    incarnation=incarnation,
-                    note=f"local rollback to op {snap.pc}",
-                ))
-            proc = Processor(
-                self,
-                myp,
-                {name: arr.copy() for name, arr in snap.arrays.items()},
-            )
-            if self._stats_block is not None:
-                view = self._stats_block.view(self.rank_id[myp])
-                view.reset()
-                proc.stats = view
-            proc._incarnation = incarnation
-            proc._ff_target = snap.pc
-            proc._resume_clock = resume
-            self._scrub_pools()
-            # swap + old-mailbox drain are atomic with deliveries, so
-            # no copy is lost or double-counted across the incarnation
-            # boundary; then re-serve the sender-logged messages the
-            # fresh incarnation still needs, in recorded delivery order
-            self.monitor.replace_proc(myp, proc)
-            for rec in store.local_reinjections(myp):
-                self.monitor.deliver_envelope(
-                    myp,
-                    Envelope(
-                        rec.src, rec.seq, rec.tag, copy_payload(rec.payload),
-                        rec.arrival, rec.sender_pc, rec.checksum,
+                    kind="snapshot-corrupt", rank=myp,
+                    start=exc.model_time, end=exc.model_time,
+                    incarnation=exc.incarnation,
+                    note=(
+                        f"snapshot at op {bad.pc} (ordinal "
+                        f"{bad.ordinal}) failed digest verification"
                     ),
-                )
-            if snap.pc == 0:
-                # no fast-forward will run, so apply the snapshot now
-                proc._restore()
-            return proc
+                ))
+        store.truncate_recv_log(myp)
+        cost = self.cost
+        resume = (
+            max(snap.clock, exc.model_time)
+            + cost.restart_penalty
+            + cost.checkpoint_word_time * snap.words
+        )
+        self._recovery_time += resume - snap.clock
+        self._work_wasted += max(0.0, exc.model_time - snap.clock)
+        incarnation = exc.incarnation + 1
+        if self.trace is not None:
+            self.trace.emit(TraceEvent(
+                kind="restart", rank=myp, start=snap.clock, end=resume,
+                incarnation=incarnation,
+                note=f"local rollback to op {snap.pc}",
+            ))
+        proc = Processor(
+            self,
+            myp,
+            {name: arr.copy() for name, arr in snap.arrays.items()},
+        )
+        proc.stats = self._stats_block.view(self.rank_id[myp])
+        proc.stats.reset()
+        proc._incarnation = incarnation
+        proc._ff_target = snap.pc
+        proc._resume_clock = resume
+        self._scrub_pools()
+        # drain the old mailbox and swap in the fresh incarnation (no
+        # copy is lost or double-counted across the boundary), then
+        # re-serve the sender-logged messages it still needs, in
+        # recorded delivery order
+        self.monitor.replace_proc(myp, proc)
+        for rec in store.local_reinjections(myp):
+            self.monitor.deliver_envelope(
+                myp,
+                Envelope(
+                    rec.src, rec.seq, rec.tag, copy_payload(rec.payload),
+                    rec.arrival, rec.sender_pc, rec.checksum,
+                ),
+            )
+        if snap.pc == 0:
+            # no fast-forward will run, so apply the snapshot now
+            proc._restore()
+        return proc
 
     def _scrub_pools(self) -> None:
         """Evict any envelope shell that still holds a payload from the

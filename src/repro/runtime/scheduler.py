@@ -1,88 +1,55 @@
-"""Single-thread execution backends: cooperative and discrete-event.
+"""The deterministic discrete-event scheduler that drives every run.
 
-The historical runtime spends real wall time on one GIL-bound OS thread
-per simulated processor: every ``recv`` blocks in ``queue.Queue`` and
-every message is a cross-thread handoff through the scheduler of the
-host OS.  Simulated time never needed any of that -- the machine is
-deterministic and the Lamport clocks are computed, not measured -- so
-this module runs every processor as a **generator-based coroutine** on
-the calling thread:
+Simulated time never needed real concurrency: the machine is
+deterministic and the Lamport clocks are computed, not measured.  So
+every processor runs as a **generator-based coroutine** on the calling
+thread (DESIGN.md §13):
 
-* generated node programs *yield* their receive requests
-  (``('recv', src, tag)`` / ``('recv_mc', src, tag)``) instead of
-  blocking; the scheduler parks the coroutine until the tag is
-  available and resumes it with the payload;
-* among runnable processors the scheduler always resumes the one with
-  the **smallest (Lamport clock, coordinate)** -- a deterministic
-  virtual-time order, so runs are reproducible by construction (no OS
-  scheduler involved) and message arrival bookkeeping matches the
-  threaded backend bit for bit;
+* node programs *yield* their receive requests (``('recv', src, tag)``
+  / ``('recv_mc', src, tag)``, or the fenced one-sided forms
+  ``('recv_fence', src, tag)`` / ``('recv_mc_fence', src, tag)``)
+  instead of blocking; the scheduler parks the coroutine until the tag
+  is available and resumes it with the payload;
+* ready coroutines live in a binary heap keyed by **(Lamport clock,
+  coordinate)**.  A ready coroutine's clock cannot change until it is
+  stepped, so the key it was pushed with is its key at pop time: one
+  deterministic virtual-time order, reproducible by construction;
+* parked ranks are woken by a **delivery watcher** hook on
+  ``Machine.deliver`` instead of being polled -- an idle rank costs
+  zero cycles, which is what makes P >= 1024 routine;
 * **true deadlock** is structural: when no coroutine is runnable and
-  draining every parked mailbox satisfies nobody, the existing
-  :class:`~.diagnostics.ProgressMonitor` audit (which the park/resume
-  transitions feed exactly like the threaded backend's block/unblock)
-  has already proven ``in_flight == 0`` with everyone blocked, and the
-  scheduler converts its WAKE pills into the same
-  :class:`~.diagnostics.DeadlockError` the threaded backend raises.
-
-Two schedulers share that machinery (DESIGN.md §13):
-
-:class:`CoopScheduler` (``backend="coop"``)
-    The original dense loop: every wakeup scans the whole ready set
-    for the minimum ``(clock, rank)`` -- O(P) per wakeup -- and every
-    drain pass polls every parked mailbox.  Simple, and fine up to a
-    few dozen ranks.
-
-:class:`EventScheduler` (``backend="event"``)
-    A true discrete-event engine: ready coroutines live in a binary
-    heap keyed by ``(clock, rank)`` (O(log P) per wakeup), and parked
-    ranks are woken by a **delivery watcher** hook on
-    ``Machine.deliver`` instead of being polled -- an idle rank costs
-    zero cycles, which is what makes P >= 1024 routine.  Because a
-    ready coroutine's clock is frozen until it is stepped, the heap
-    key equals the key the dense scan would compute, so the event
-    backend's step order -- and therefore every artifact: arrays,
-    ProcStats, the *full* trace including the wall-clock-unstable
-    drop markers, and failure attribution -- is identical to the
-    cooperative backend's by construction.
+  draining every parked mailbox satisfies nobody, the
+  :class:`~.diagnostics.ProgressMonitor` audit (fed by the park/resume
+  transitions) has proven ``in_flight == 0`` with everyone blocked, and
+  the scheduler converts its WAKE pills into
+  :class:`~.diagnostics.DeadlockError` failures.
 
 Costs, stats, stash/dedup handling and the checkpoint replay fast path
-are all shared with the threaded backend -- the schedulers call the
-same ``Processor._recv_prologue`` / ``_recv_accept`` / ``_recv_finish``
-halves that ``Processor.recv`` is assembled from, so ``ProcStats``,
-clocks and final arrays are identical across backends.
-
-Plain (non-generator) node functions -- hand-written harnesses -- are
-executed sequentially in coordinate order; they keep working as long
-as their communication follows program order (a backward dependence
-would need the threaded backend).
+live in ``Processor._recv_prologue`` / ``_recv_accept`` /
+``_recv_finish``; this module only decides *when* each runs.
 """
 
 from __future__ import annotations
 
 import heapq
-import inspect
-import queue
 import time
 from typing import Callable, Dict, List, Tuple
 
 from .diagnostics import WAKE, DeadlockError
 from .faults import ProcessorCrashed
 
-__all__ = ["CoopScheduler", "EventScheduler"]
+__all__ = ["Scheduler"]
 
 #: resume token for a coroutine that has not started yet
 _START = object()
 
 
-class CoopScheduler:
-    """Run one machine incarnation cooperatively on the current thread."""
+class Scheduler:
+    """Run one machine incarnation as coroutines on the current thread."""
 
     def __init__(self, machine) -> None:
         self.machine = machine
         self.failures: List[Tuple[Tuple[int, ...], BaseException]] = []
-        #: myp -> _START or (tag, mc_flag, fenced) for a satisfied receive
-        self.ready: Dict[Tuple[int, ...], object] = {}
         #: myp -> (tag, mc_flag, fenced) for a parked receive
         self.waiting: Dict[Tuple[int, ...], Tuple[tuple, bool, bool]] = {}
         self.gens: Dict[Tuple[int, ...], object] = {}
@@ -92,66 +59,44 @@ class CoopScheduler:
         #: coroutine resumes ("scheduler wakeups"), surfaced by the run
         #: summary's throughput line
         self.steps = 0
-
-    # -- entry point ---------------------------------------------------------
-
-    def _rank_order(self) -> List[Tuple[int, ...]]:
-        """The machine's precomputed sorted rank order (hoisted out of
-        the hot loops); falls back to sorting for hand-built machines
-        whose ``procs`` differ from the declared processor space."""
-        order = self.machine.rank_order
-        if len(order) != len(self.machine.procs):
-            order = sorted(self.machine.procs)
-        return order
+        #: (frozen clock, rank, resume token) ready events
+        self._heap: List[tuple] = []
+        #: parked ranks with undrained deliveries; every other parked
+        #: rank's mailbox is provably empty (it pumped before parking
+        #: and the watcher has flagged nothing since)
+        self._pending: set = set()
 
     def run(
         self, node_fn: Callable
     ) -> List[Tuple[Tuple[int, ...], BaseException]]:
         machine = self.machine
-        if not inspect.isgeneratorfunction(node_fn):
-            return self._run_plain(node_fn)
-
         self._node_fn = node_fn
         procs = machine.procs
         gens = self.gens
-        ready = self.ready
-        for myp in self._rank_order():
+        heap = self._heap
+        for myp in machine.rank_order:
             gens[myp] = node_fn(procs[myp])
-            ready[myp] = _START
-
-        def key(p, _procs=procs):  # hoisted: one closure per run
-            return (_procs[p].clock, p)
-
-        deadline = time.monotonic() + machine.timeout * 4
-        while ready or self.waiting:
-            if time.monotonic() > deadline:
-                raise DeadlockError(
-                    f"node program did not terminate within "
-                    f"{machine.timeout * 4:g}s (cooperative backend)",
-                    report=machine.monitor.build_report(),
-                )
-            if ready:
-                myp = min(ready, key=key)
-                self._step(myp, ready.pop(myp))
-            else:
-                self._drain_parked()
-        return self.failures
-
-    def _run_plain(
-        self, node_fn: Callable
-    ) -> List[Tuple[Tuple[int, ...], BaseException]]:
-        """Hand-written harness: run to completion in coordinate order."""
-        machine = self.machine
-        for myp in self._rank_order():
-            proc = machine.procs[myp]
-            clean = False
-            try:
-                node_fn(proc)
-                clean = True
-            except BaseException as exc:  # noqa: BLE001 - surfaced by run()
-                self.failures.append((myp, exc))
-            finally:
-                machine.monitor.finish(myp, clean=clean)
+            # after a rollback the resume clock is nonzero, so seed
+            # with the live clock rather than assuming zero
+            heap.append((procs[myp].clock, myp, _START))
+        heapq.heapify(heap)
+        machine._delivery_watcher = self._on_delivery
+        try:
+            deadline = time.monotonic() + machine.timeout * 4
+            while heap or self.waiting:
+                if time.monotonic() > deadline:
+                    raise DeadlockError(
+                        f"node program did not terminate within "
+                        f"{machine.timeout * 4:g}s",
+                        report=machine.monitor.build_report(),
+                    )
+                if heap:
+                    _clock, myp, token = heapq.heappop(heap)
+                    self._step(myp, token)
+                else:
+                    self._drain_parked()
+        finally:
+            machine._delivery_watcher = None
         return self.failures
 
     # -- one coroutine step --------------------------------------------------
@@ -178,8 +123,6 @@ class CoopScheduler:
                     fenced = kind == "recv_mc_fence"
                     cached = proc._mc_cache.get(tag)
                     if cached is not None:
-                        # same trace point as Processor.recv_mc's cache
-                        # hit on the threaded backend
                         proc._trace_mc_hit(tag)
                         request = gen.send(cached)
                         continue
@@ -203,8 +146,7 @@ class CoopScheduler:
                         proc._mc_cache[tag] = payload
                     request = gen.send(payload)
                     continue
-                # park: the monitor's block() runs the same deadlock
-                # test the threaded backend relies on
+                # park: the monitor's block() runs the deadlock test
                 self.waiting[myp] = (tag, mc, fenced)
                 machine.monitor.block(myp, tag)
                 return
@@ -243,23 +185,30 @@ class CoopScheduler:
 
     # -- mailbox handling ----------------------------------------------------
 
-    def _pump_mailbox(self, proc) -> bool:
+    @staticmethod
+    def _pump_mailbox(proc) -> bool:
         """Drain ``proc``'s mailbox into its stash.  Returns True when a
         WAKE pill was found (deadlock diagnosed by the monitor)."""
         woke = False
-        while True:
-            try:
-                envelope = proc.mailbox.get_nowait()
-            except queue.Empty:
-                return woke
+        for envelope in proc.mailbox.drain():
             if envelope is WAKE:
                 woke = True
                 continue
             proc._recv_accept(envelope)
+        return woke
+
+    def _on_delivery(self, dest: Tuple[int, ...]) -> None:
+        """Machine.deliver hook: flag a parked receiver for wakeup.
+        Deliveries to running/ready ranks need no flag -- they pump
+        their own mailbox before deciding to park."""
+        if dest in self.waiting:
+            self._pending.add(dest)
 
     def _unpark(self, myp: Tuple[int, ...], token) -> None:
-        """Hand a satisfied receive back to the ready structure."""
-        self.ready[myp] = token
+        """Hand a satisfied receive back to the ready heap."""
+        heapq.heappush(
+            self._heap, (self.machine.procs[myp].clock, myp, token)
+        )
 
     def _drain_one(self, myp: Tuple[int, ...]) -> bool:
         """Pump one parked rank's mailbox.  True when it progressed:
@@ -271,8 +220,7 @@ class CoopScheduler:
             woke = self._pump_mailbox(proc)
         except BaseException as exc:  # noqa: BLE001 - surfaced by Machine.run
             # a CorruptionError raised while accepting a delivery
-            # must land in the failures list exactly as it would
-            # from the threaded backend's recv loop
+            # fails the receiving rank
             del self.waiting[myp]
             self.failures.append((myp, exc))
             machine.monitor.finish(myp, clean=False)
@@ -294,15 +242,31 @@ class CoopScheduler:
             return True
         return False
 
-    def _drain_parked(self) -> None:
-        """No coroutine is runnable: satisfy parked receives from their
-        mailboxes, or convert a diagnosed deadlock into failures."""
-        machine = self.machine
+    def _drain_each(self, ranks) -> bool:
+        """Pump every parked rank in ``ranks``; True if any progressed."""
         progressed = False
-        for myp in sorted(self.waiting):
+        for myp in ranks:
             if self._drain_one(myp):
                 progressed = True
-        if progressed or not self.waiting:
+        return progressed
+
+    def _drain_parked(self) -> None:
+        """No coroutine is runnable: satisfy parked receives from their
+        mailboxes, or convert a diagnosed deadlock into failures.
+
+        Flagged ranks (mail arrived since they parked) go first.  WAKE
+        pills bypass the watcher, but the monitor only pushes them once
+        every rank is parked and nothing is in flight -- so when no
+        flagged rank progresses, a full pass over every parked rank
+        converts them."""
+        machine = self.machine
+        pending = self._pending
+        if pending:
+            flagged = sorted(p for p in pending if p in self.waiting)
+            pending.clear()
+            if self._drain_each(flagged):
+                return
+        if self._drain_each(sorted(self.waiting)) or not self.waiting:
             return
         # Nothing moved: every parked mailbox was empty.  Re-run the
         # monitor's deadlock test (dequeues above may have zeroed the
@@ -310,106 +274,12 @@ class CoopScheduler:
         # deadlock it pushes WAKE pills that the next pass converts.
         for myp in sorted(self.waiting):
             machine.monitor.block(myp, self.waiting[myp][0])
-        if not machine.monitor.deadlocked.is_set():
+        if not machine.monitor.deadlocked:
             # not a structural deadlock (should be unreachable: with no
             # runnable coroutine there is no future sender) -- fail loud
             # rather than spin
             raise DeadlockError(
-                "cooperative scheduler stalled: no runnable processor and "
+                "scheduler stalled: no runnable processor and "
                 "no satisfiable receive",
                 report=machine.monitor.build_report(),
             )
-
-
-class EventScheduler(CoopScheduler):
-    """Discrete-event engine: a heap of ready coroutines.
-
-    Replaces the cooperative scheduler's O(P) min-scan per wakeup with
-    a binary heap keyed by ``(clock, rank)``, and its poll-everyone
-    drain passes with a **delivery watcher**: ``Machine.deliver``
-    reports every successful mailbox delivery, and only parked ranks
-    with undrained mail are ever touched -- an idle rank costs nothing.
-
-    A ready coroutine's clock cannot change until it is stepped (only
-    its own execution mutates it), so the key it was pushed with is
-    exactly the key the dense scan would compute at pop time: the step
-    sequence is identical to :class:`CoopScheduler`'s, which makes
-    every run artifact bit-identical by construction.  WAKE pills are
-    pushed by the monitor directly into mailboxes (bypassing the
-    watcher), but only once every rank is parked and nothing is in
-    flight -- at which point the heap is empty, no rank is flagged,
-    and the inherited full drain converts them exactly as coop does.
-    """
-
-    def __init__(self, machine) -> None:
-        super().__init__(machine)
-        #: (frozen clock, rank, resume token) ready events
-        self._heap: List[tuple] = []
-        #: parked ranks with undrained deliveries; every other parked
-        #: rank's mailbox is provably empty (it pumped before parking
-        #: and the watcher has flagged nothing since)
-        self._pending: set = set()
-
-    def run(
-        self, node_fn: Callable
-    ) -> List[Tuple[Tuple[int, ...], BaseException]]:
-        machine = self.machine
-        if not inspect.isgeneratorfunction(node_fn):
-            return self._run_plain(node_fn)
-
-        self._node_fn = node_fn
-        procs = machine.procs
-        gens = self.gens
-        heap = self._heap
-        for myp in self._rank_order():
-            gens[myp] = node_fn(procs[myp])
-            # after a rollback the resume clock is nonzero, so seed
-            # with the live clock rather than assuming zero
-            heap.append((procs[myp].clock, myp, _START))
-        heapq.heapify(heap)
-        machine._delivery_watcher = self._on_delivery
-        try:
-            deadline = time.monotonic() + machine.timeout * 4
-            while heap or self.waiting:
-                if time.monotonic() > deadline:
-                    raise DeadlockError(
-                        f"node program did not terminate within "
-                        f"{machine.timeout * 4:g}s (event backend)",
-                        report=machine.monitor.build_report(),
-                    )
-                if heap:
-                    _clock, myp, token = heapq.heappop(heap)
-                    self._step(myp, token)
-                else:
-                    self._drain_parked()
-        finally:
-            machine._delivery_watcher = None
-        return self.failures
-
-    def _on_delivery(self, dest: Tuple[int, ...]) -> None:
-        """Machine.deliver hook: flag a parked receiver for wakeup.
-        Deliveries to running/ready ranks need no flag -- they pump
-        their own mailbox before deciding to park."""
-        if dest in self.waiting:
-            self._pending.add(dest)
-
-    def _unpark(self, myp: Tuple[int, ...], token) -> None:
-        heapq.heappush(
-            self._heap, (self.machine.procs[myp].clock, myp, token)
-        )
-
-    def _drain_parked(self) -> None:
-        pending = self._pending
-        if pending:
-            flagged = sorted(p for p in pending if p in self.waiting)
-            pending.clear()
-            progressed = False
-            for myp in flagged:
-                if self._drain_one(myp):
-                    progressed = True
-            if progressed:
-                return
-        # no flagged mail (or it was all dropped copies): fall back to
-        # the full drain, which re-runs the monitor's deadlock test and
-        # converts its WAKE pills -- same terminal behaviour as coop
-        super()._drain_parked()

@@ -16,13 +16,11 @@ Design rules (load-bearing; the conformance suite pins them):
   untraced run are bit-identical in arrays, makespans and
   ``ProcStats`` -- asserted by ``tests/runtime/test_trace_zero_overhead``
   against goldens captured before this subsystem existed.
-* **Events are backend-invariant.**  Every event is stamped with the
-  *model* clock at deterministic points of the node program, so the
-  threads and coop backends (and any thread schedule) produce the same
-  trace.  The one exception is mailbox *acceptance* (which copy of a
-  duplicated message gets dequeued during which wait is a wall-clock
-  artifact), so dedup drops are recorded as ``dup-drop`` markers and
-  excluded from :meth:`TraceBuffer.normalized` by default.
+* **Events are deterministic.**  Every event is stamped with the
+  *model* clock at a point fixed by the node program and the one
+  scheduler's (clock, rank) order, so repeated runs, and runs on
+  transports that must agree, produce equal normalized traces,
+  mailbox-acceptance markers (``dup-drop``, ``corrupt-drop``) included.
 * **Vectorized blocks are single spanning events** (``count = n``):
   the emitter's ``execute_block`` charges ``n`` iterations in closed
   form, and the trace mirrors that as one ``compute`` event covering
@@ -86,19 +84,14 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, IO, Iterable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, IO, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "TraceBuffer",
     "TraceEvent",
     "match_messages",
 ]
-
-#: event kinds whose *placement* depends on wall-clock mailbox timing
-#: (identical in content, not in attribution, across backends); excluded
-#: from the normalized cross-backend view by default.
-UNSTABLE_KINDS = frozenset({"dup-drop", "corrupt-drop"})
 
 #: machine-level events (collective reorganizations, run-level notes)
 #: are attributed to this pseudo-rank.
@@ -187,14 +180,7 @@ class TraceEvent:
 
 
 class TraceBuffer:
-    """Per-run event store: one append-only list per processor.
-
-    Each list is appended to only by its own processor (the threaded
-    backend runs one thread per processor; list appends are atomic
-    under the GIL, and machine-level events are emitted only while the
-    worker threads are joined), so no locking is needed and tracing
-    adds no synchronization that could perturb the run.
-    """
+    """Per-run event store: one append-only list per processor."""
 
     def __init__(self) -> None:
         self._by_rank: Dict[Tuple[int, ...], List[TraceEvent]] = {
@@ -202,11 +188,6 @@ class TraceBuffer:
         }
 
     # -- recording -----------------------------------------------------------
-
-    def register(self, rank: Tuple[int, ...]) -> None:
-        """Pre-create ``rank``'s event list (so concurrent first emits
-        from different processors never race on dict insertion)."""
-        self._by_rank.setdefault(tuple(rank), [])
 
     def emit(self, event: TraceEvent) -> None:
         try:
@@ -257,28 +238,20 @@ class TraceBuffer:
     ) -> List[tuple]:
         """The trace as a sorted list of comparable tuples.
 
-        This is the cross-backend conformance artifact: two runs of the
-        same program under different execution backends must produce
+        This is the conformance artifact: two runs that must agree
+        (repeats, traced vs untraced, reliable vs onesided) produce
         *equal* normalized traces.  ``kinds`` restricts the view (e.g.
         to communication events only, which are additionally invariant
-        across scalar/vectorized codegen); by default every kind except
-        the wall-clock-placed :data:`UNSTABLE_KINDS` is included.
+        across scalar/vectorized codegen); by default every kind is
+        included.
         """
-        if kinds is None:
-            rows = [
-                e.key()
-                for evs in self._by_rank.values()
-                for e in evs
-                if e.kind not in UNSTABLE_KINDS
-            ]
-        else:
-            want = frozenset(kinds)
-            rows = [
-                e.key()
-                for evs in self._by_rank.values()
-                for e in evs
-                if e.kind in want
-            ]
+        want = None if kinds is None else frozenset(kinds)
+        rows = [
+            e.key()
+            for evs in self._by_rank.values()
+            for e in evs
+            if want is None or e.kind in want
+        ]
         rows.sort()
         return rows
 

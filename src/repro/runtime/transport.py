@@ -31,9 +31,9 @@ substrates:
     (``benchmarks/bench_fault_overhead.py``).
 
 Determinism: fault decisions come from the :class:`~.faults.FaultPlan`
-hash stream, and recovery is simulated *synchronously in the sending
-processor's thread* (the plan tells us, reproducibly, which attempt
-succeeds), so results are identical across thread schedules.
+hash stream, and recovery is simulated *synchronously inside the
+sending processor's operation* (the plan tells us, reproducibly, which
+attempt succeeds).
 
 Silent-data-corruption tolerance (DESIGN.md §12): when a fault plan
 injects payload corruption, transports become **self-checking** --
@@ -63,8 +63,6 @@ stays bit-identical to the pre-corruption-era goldens.
 
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Dict, List, Optional, Tuple
@@ -113,7 +111,7 @@ def copy_payload(payload):
     """A private copy of a message payload at an ownership boundary.
 
     Payloads are numpy float64 vectors on the generated-code path and
-    plain lists from hand-written harnesses; both cross thread/processor
+    plain lists from hand-written harnesses; both cross processor
     boundaries, so every envelope, snapshot and log entry must hold its
     own copy (aliasing a sender's buffer across processors would be a
     shared-memory bug the real machine cannot have).
@@ -216,8 +214,7 @@ class LogRecord:
     per-receiver delivery ordinal recorded when the first valid copy of
     the message entered the receiver's mailbox.  Local recovery
     re-serves logged messages to a restarted rank sorted by
-    ``(arrival, order)``, reproducing the recorded delivery order on
-    the deterministic single-threaded backends.
+    ``(arrival, order)``, reproducing the recorded delivery order.
     """
 
     src: Tuple[int, ...]
@@ -255,7 +252,6 @@ class MessageLog:
             raise ValueError(f"bytes_cap must be positive, got {bytes_cap!r}")
         self.bytes_cap = bytes_cap
         self._records: Dict[Tuple[Tuple[int, ...], tuple], LogRecord] = {}
-        self._lock = threading.Lock()
         #: live logged bytes per (src, dest) channel
         self.channel_bytes: Dict[
             Tuple[Tuple[int, ...], Tuple[int, ...]], int
@@ -277,38 +273,34 @@ class MessageLog:
         dest = tuple(dest)
         key = (dest, envelope.tag)
         src = tuple(envelope.src)
-        with self._lock:
-            if key in self._records:
-                return
-            size = len(envelope.payload) * _WORD_BYTES
-            channel = (src, dest)
-            logged = self.channel_bytes.get(channel, 0) + size
-            if self.bytes_cap is not None and logged > self.bytes_cap:
-                raise LogOverflowError(src, dest, logged, self.bytes_cap)
-            order = self._orders.get(dest, 0)
-            self._orders[dest] = order + 1
-            self._records[key] = LogRecord(
-                src=src,
-                seq=envelope.seq,
-                tag=envelope.tag,
-                payload=copy_payload(envelope.payload),
-                arrival=envelope.arrival,
-                sender_pc=envelope.sender_pc,
-                checksum=envelope.checksum,
-                order=order,
-            )
-            self.channel_bytes[channel] = logged
-            self.bytes_total += size
-            if self.bytes_total > self.bytes_peak:
-                self.bytes_peak = self.bytes_total
+        if key in self._records:
+            return
+        size = len(envelope.payload) * _WORD_BYTES
+        channel = (src, dest)
+        logged = self.channel_bytes.get(channel, 0) + size
+        if self.bytes_cap is not None and logged > self.bytes_cap:
+            raise LogOverflowError(src, dest, logged, self.bytes_cap)
+        order = self._orders.get(dest, 0)
+        self._orders[dest] = order + 1
+        self._records[key] = LogRecord(
+            src=src,
+            seq=envelope.seq,
+            tag=envelope.tag,
+            payload=copy_payload(envelope.payload),
+            arrival=envelope.arrival,
+            sender_pc=envelope.sender_pc,
+            checksum=envelope.checksum,
+            order=order,
+        )
+        self.channel_bytes[channel] = logged
+        self.bytes_total += size
+        if self.bytes_total > self.bytes_peak:
+            self.bytes_peak = self.bytes_total
 
     def records_for(self, dest: Tuple[int, ...]) -> List[LogRecord]:
         """Every logged message destined to ``dest`` (unsorted)."""
         dest = tuple(dest)
-        with self._lock:
-            return [
-                rec for (d, _tag), rec in self._records.items() if d == dest
-            ]
+        return [rec for (d, _tag), rec in self._records.items() if d == dest]
 
     def truncate(self, dest: Tuple[int, ...], dead_tags) -> int:
         """Drop logged messages to ``dest`` whose tags are provably
@@ -317,18 +309,17 @@ class MessageLog:
         returns the number of entries dropped."""
         dest = tuple(dest)
         dropped = 0
-        with self._lock:
-            for tag in dead_tags:
-                rec = self._records.pop((dest, tag), None)
-                if rec is None:
-                    continue
-                size = len(rec.payload) * _WORD_BYTES
-                channel = (rec.src, dest)
-                self.channel_bytes[channel] = (
-                    self.channel_bytes.get(channel, 0) - size
-                )
-                self.bytes_total -= size
-                dropped += 1
+        for tag in dead_tags:
+            rec = self._records.pop((dest, tag), None)
+            if rec is None:
+                continue
+            size = len(rec.payload) * _WORD_BYTES
+            channel = (rec.src, dest)
+            self.channel_bytes[channel] = (
+                self.channel_bytes.get(channel, 0) - size
+            )
+            self.bytes_total -= size
+            dropped += 1
         return dropped
 
 
@@ -805,14 +796,9 @@ class OneSidedTransport(ReliableTransport):
         and charges ``CostModel.fence_time`` to the model clock.
         """
         start = proc.clock
-        while True:
-            try:
-                envelope = proc.mailbox.get_nowait()
-            except queue.Empty:
-                break
-            if envelope is WAKE:
-                continue
-            proc._recv_accept(envelope)
+        for envelope in proc.mailbox.drain():
+            if envelope is not WAKE:
+                proc._recv_accept(envelope)
         cost = proc.machine.cost
         proc.clock += cost.fence_time
         proc.stats.fences += 1

@@ -16,68 +16,32 @@ import numpy as np
 
 from ..decomp import DataDecomp
 from ..ir import Program, live_out_writes, run
-from .checkpoint import CheckpointPolicy
-from .faults import FaultPlan
-from .machine import CostModel, Machine, RunResult
+from .machine import Machine, RunResult
 
 
 def run_spmd(
     spmd,
     params: Mapping[str, int],
     initial_data: Optional[Dict[str, DataDecomp]] = None,
-    cost: Optional[CostModel] = None,
     seed: int = 0,
-    timeout: float = 60.0,
-    fault_plan: Optional[FaultPlan] = None,
-    reliability=None,
-    max_retries: int = 10,
-    checkpoint: Optional[CheckpointPolicy] = None,
-    max_restarts: int = 3,
-    backend: str = "threads",
-    trace=None,
-    checksums: Optional[bool] = None,
-    recovery: str = "global",
-    log_bytes_cap: Optional[int] = None,
+    **machine_kwargs,
 ) -> RunResult:
     """Execute a generated SPMD program on the simulator.
 
-    ``fault_plan``/``reliability``/``max_retries`` configure the
-    reliability subsystem; ``checkpoint``/``max_restarts`` configure
-    fail-stop crash tolerance (see :class:`~.machine.Machine`).
-    ``backend`` selects the execution engine: ``"threads"`` (one OS
-    thread per processor, the default), ``"coop"`` (all processors
-    as coroutines on one thread, deterministic virtual-time order) or
-    ``"event"`` (discrete-event heap, same order, idle ranks cost
-    zero cycles -- prefer at large P).
-    ``trace=True`` (or a caller-owned
-    :class:`~.trace.TraceBuffer`) records the typed event trace on
-    ``RunResult.trace``; off by default and observably free.
-    ``checksums`` forces self-checking transports on/off (``None`` =
-    auto: on exactly when the plan can corrupt payloads/snapshots).
-    ``recovery`` selects the crash-recovery discipline: ``"global"``
-    rolls every rank back to its checkpoint, ``"local"`` restarts only
-    the crashed rank from the sender message log; ``log_bytes_cap``
-    bounds that log per channel (structured
-    :class:`~.transport.LogOverflowError` on overflow).
-    Defaults keep the historical zero-overhead direct channel.
+    Every other keyword is a :class:`~.machine.Machine` option, with
+    its default defined there: ``cost``; ``fault_plan`` /
+    ``reliability`` / ``max_retries`` (reliability subsystem);
+    ``checkpoint`` / ``max_restarts`` / ``recovery`` /
+    ``log_bytes_cap`` (fail-stop crash tolerance: ``recovery="local"``
+    restarts only the crashed rank from the sender message log);
+    ``checksums`` (self-checking transports; ``None`` = on exactly
+    when the plan can corrupt); ``trace=True`` (typed event trace on
+    ``RunResult.trace``, off by default and observably free);
+    ``timeout``.  Every run is driven by the one deterministic event
+    scheduler; ``backend`` is accepted for existing callers, where
+    ``"event"`` and ``"coop"`` both name it.
     """
-    machine = Machine(
-        spmd.program,
-        spmd.space,
-        params,
-        cost=cost,
-        timeout=timeout,
-        fault_plan=fault_plan,
-        reliability=reliability,
-        max_retries=max_retries,
-        checkpoint=checkpoint,
-        max_restarts=max_restarts,
-        backend=backend,
-        trace=trace,
-        checksums=checksums,
-        recovery=recovery,
-        log_bytes_cap=log_bytes_cap,
-    )
+    machine = Machine(spmd.program, spmd.space, params, **machine_kwargs)
     return machine.run(spmd.node, initial_data=initial_data, seed=seed)
 
 
@@ -88,26 +52,17 @@ def check_against_sequential(
     initial_data: Optional[Dict[str, DataDecomp]] = None,
     final_data: Optional[Dict[str, DataDecomp]] = None,
     seed: int = 0,
-    cost: Optional[CostModel] = None,
     rtol: float = 1e-9,
-    fault_plan: Optional[FaultPlan] = None,
-    reliability=None,
-    max_retries: int = 10,
-    timeout: float = 60.0,
-    checkpoint: Optional[CheckpointPolicy] = None,
-    max_restarts: int = 3,
-    backend: str = "threads",
-    trace=None,
-    checksums: Optional[bool] = None,
-    recovery: str = "global",
-    log_bytes_cap: Optional[int] = None,
+    **machine_kwargs,
 ) -> RunResult:
     """Run and assert correctness; returns the RunResult on success.
 
     For every location written during execution, the physical processor
     that executed the last write must hold the sequential value.  With
     ``final_data``, every final owner must hold it instead (requires
-    finalization communication in the generated program).
+    finalization communication in the generated program).  Other
+    keywords are :class:`~.machine.Machine` options (see
+    :func:`run_spmd`).
 
     With a ``fault_plan``, this is the reliability subsystem's
     strongest end-to-end check: the generated program must produce the
@@ -117,22 +72,7 @@ def check_against_sequential(
     program: Program = spmd.program
     expected = run(program, params, seed=seed)
     result = run_spmd(
-        spmd,
-        params,
-        initial_data=initial_data,
-        seed=seed,
-        cost=cost,
-        timeout=timeout,
-        fault_plan=fault_plan,
-        reliability=reliability,
-        max_retries=max_retries,
-        checkpoint=checkpoint,
-        max_restarts=max_restarts,
-        backend=backend,
-        trace=trace,
-        checksums=checksums,
-        recovery=recovery,
-        log_bytes_cap=log_bytes_cap,
+        spmd, params, initial_data=initial_data, seed=seed, **machine_kwargs
     )
     writers = live_out_writes(program, params)
     space = spmd.space

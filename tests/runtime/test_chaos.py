@@ -38,7 +38,6 @@ class TestHealthyStack:
     def test_every_schedule_meets_its_expectation(self):
         report = explore(
             workloads=("fig2", "pipe"),
-            backends=("coop",),
             seeds=3,
             corrupt_rate=0.3,
             targeted_limit=2,
@@ -61,11 +60,11 @@ class TestOneSidedTrials:
         schedules); crash trials and the direct-transport detection
         trials stay single-transport."""
         base = explore(
-            workloads=("fig2",), backends=("coop",), seeds=2,
+            workloads=("fig2",), seeds=2,
             targeted=False, crashes=False,
         )
         both = explore(
-            workloads=("fig2",), backends=("coop",), seeds=2,
+            workloads=("fig2",), seeds=2,
             targeted=False, crashes=False,
             transports=("reliable", "onesided"),
         )
@@ -74,7 +73,7 @@ class TestOneSidedTrials:
 
     def test_onesided_corruption_trials_meet_the_oracle(self):
         report = explore(
-            workloads=("fig2",), backends=("coop", "event"), seeds=2,
+            workloads=("fig2",), seeds=2,
             corrupt_rate=0.3, targeted=True, targeted_limit=2,
             crashes=False, transports=("onesided",),
         )
@@ -92,7 +91,7 @@ class TestOneSidedTrials:
         corrupted put -- the finding's reproducer must name the
         onesided transport and replay deterministically."""
         report = explore(
-            workloads=("fig2",), backends=("threads",), seeds=0,
+            workloads=("fig2",), seeds=0,
             targeted_limit=2, crashes=False,
             transports=("onesided",),
         )
@@ -116,7 +115,6 @@ class TestInjectedBug:
     def test_finds_shrinks_and_replays(self, verification_disabled):
         report = explore(
             workloads=("fig2",),
-            backends=("threads",),
             seeds=0,
             targeted_limit=2,
         )
@@ -128,6 +126,9 @@ class TestInjectedBug:
             doc = json.loads(
                 json.dumps(finding.reproducer, sort_keys=True)
             )
+            assert "backend" not in doc
+            # older reproducers carry a backend field; replay ignores it
+            doc["backend"] = "threads"
             reproduced, observed = replay_reproducer(doc)
             assert reproduced, (
                 f"reproducer did not replay: recorded "
@@ -138,12 +139,11 @@ class TestInjectedBug:
         def run():
             report = explore(
                 workloads=("fig2",),
-                backends=("threads",),
                 seeds=0,
                 targeted_limit=1,
             )
             return [
-                (f.scenario, f.backend, f.transport, f.expected,
+                (f.scenario, f.transport, f.expected,
                  f.observed, f.events, plan_to_json(f.plan))
                 for f in report.findings
             ]

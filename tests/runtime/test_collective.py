@@ -107,40 +107,23 @@ class TestTwoPhaseProgram:
         comp_col = block_loop(s_col, ["j2"], [8], pdims=[2])
         spmd_col = generate_spmd(cols_prog, {s_col.name: comp_col})
         machine2 = Machine(cols_prog, comp_col.space, params)
-        machine2.procs = {}
-        # run phase 2 manually on the phase-1 arrays
-        from repro.runtime.machine import Processor
 
-        machine2.procs = {
-            myp: Processor(machine2, myp, arrays)
-            for myp, arrays in result1.arrays.items()
-        }
-        import threading
+        def seeded_from_phase1(proc):
+            # run phase 2 on the phase-1 arrays
+            for name, values in result1.arrays[proc.myp].items():
+                proc.arrays[name][...] = values
+            yield from spmd_col.node(proc)
 
-        from repro.runtime import drive_node
-
-        threads = [
-            threading.Thread(target=drive_node, args=(spmd_col.node, proc))
-            for proc in machine2.procs.values()
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-        col_messages = sum(
-            p.stats.messages_sent for p in machine2.procs.values()
-        )
-        assert col_messages == 0  # column sweep is local after transpose
+        result2 = machine2.run(seeded_from_phase1, seed=0)
+        assert result2.total_messages == 0  # column sweep is local
 
         # compare against the sequential composite
         golden = allocate_arrays(rows_prog, params, seed=0)
         run(rows_prog, params, arrays=golden)
         run(cols_prog, params, arrays=golden)
-        for myp, proc in machine2.procs.items():
+        for myp, arrays in result2.arrays.items():
             lo, hi = myp[0] * 8, myp[0] * 8 + 8
-            assert np.allclose(
-                proc.arrays["A"][:, lo:hi], golden["A"][:, lo:hi]
-            )
+            assert np.allclose(arrays["A"][:, lo:hi], golden["A"][:, lo:hi])
 
 
 class TestReorganizeResidency:

@@ -4,11 +4,11 @@ Four guarantees under test:
 
 * **Recovery**: with payload corruption injected, the self-checking
   reliable transport delivers final arrays *bit-identical* to the
-  fault-free oracle on every conformance workload, backend and
-  vectorization mode -- and the PR 5 trace invariants still hold.
+  fault-free oracle on every conformance workload and vectorization
+  mode -- and the PR 5 trace invariants still hold.
 * **Detection**: on the direct transport (no retransmission protocol)
   corruption surfaces as a structured :class:`CorruptionError` naming
-  the same channel message on both backends.
+  the channel message.
 * **Checkpoint integrity**: corrupted snapshots are rejected by digest
   at restore and recovery falls back to the last valid cut.
 * **Zero overhead**: with no corruption injected, checksummed runs are
@@ -32,20 +32,18 @@ from repro.runtime import (
 )
 
 from .trace_workloads import (
-    COMBOS,
     TRANSPORTS,
+    VECTORIZE,
     WORKLOADS,
     assert_same_arrays,
     assert_trace_invariants as assert_invariants,
     compiled_spmd,
 )
 
-BACKENDS = ("threads", "coop", "event")
-
 
 class TestCorruptionRecovery:
     """Reliable transport + checksums: corruption is invisible in the
-    final answer, on every workload, backend and vectorization mode."""
+    final answer, on every workload and vectorization mode."""
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -59,14 +57,14 @@ class TestCorruptionRecovery:
         plan = FaultPlan(seed=1, corrupt_rate=0.4)
         injected = 0
         messages = 0
-        for vec, backend in COMBOS:
+        for vec in VECTORIZE:
             spmd = compiled_spmd(name, vectorize=vec)
-            oracle = run_spmd(spmd, params, backend=backend)
+            oracle = run_spmd(spmd, params)
             messages += oracle.total_messages
-            label = f"{name} vectorize={vec} backend={backend}"
+            label = f"{name} vectorize={vec}"
             result = run_spmd(
-                spmd, params, backend=backend, fault_plan=plan,
-                reliability=transport, trace=True,
+                spmd, params, fault_plan=plan, reliability=transport,
+                trace=True,
             )
             assert_same_arrays(result, oracle, label)
             assert_invariants(result, label)
@@ -79,43 +77,20 @@ class TestCorruptionRecovery:
         if messages:
             assert injected > 0, f"{name}: fault plan never fired"
 
-    def test_backends_bit_identical_under_corruption(self):
-        _build, params = WORKLOADS["pipe"]
-        plan = FaultPlan(seed=7, corrupt_rate=0.3)
-        spmd = compiled_spmd("pipe")
-        runs = {
-            backend: run_spmd(
-                spmd, params, backend=backend, fault_plan=plan
-            )
-            for backend in BACKENDS
-        }
-        a, b = runs["threads"], runs["coop"]
-        assert a.makespan == b.makespan
-        assert a.clocks == b.clocks
-        assert a.stats == b.stats
-        assert_same_arrays(a, b, "threads vs coop")
-
 
 class TestCorruptionDetection:
     """Direct transport: detected, structured, deterministic."""
 
-    def test_direct_raises_structured_error_on_both_backends(self):
+    def test_direct_raises_structured_error(self):
         _build, params = WORKLOADS["fig2"]
         spmd = compiled_spmd("fig2")
         plan = FaultPlan(corruptions={((1,), (2,), 0): 0})
-        errors = []
-        for backend in BACKENDS:
-            with pytest.raises(CorruptionError) as info:
-                run_spmd(
-                    spmd, params, backend=backend, fault_plan=plan,
-                    reliability="direct",
-                )
-            errors.append(info.value)
-        for err in errors:
-            assert err.src == (1,)
-            assert err.receiver == (2,)
-            assert err.seq == 0
-        assert str(errors[0]) == str(errors[1])
+        with pytest.raises(CorruptionError) as info:
+            run_spmd(spmd, params, fault_plan=plan, reliability="direct")
+        err = info.value
+        assert err.src == (1,)
+        assert err.receiver == (2,)
+        assert err.seq == 0
 
     def test_unreliable_transport_stays_silent(self):
         """The unreliable transport demonstrates the failure mode:
@@ -137,7 +112,7 @@ def _sweep_case(name):
     if name not in _SWEEP:
         _build, params = WORKLOADS[name]
         spmd = compiled_spmd(name)
-        _SWEEP[name] = (spmd, params, run_spmd(spmd, params, backend="coop"))
+        _SWEEP[name] = (spmd, params, run_spmd(spmd, params))
     return _SWEEP[name]
 
 
@@ -151,7 +126,7 @@ class TestCorruptionSweep:
     def test_any_seed_any_rate_recovers_exactly(self, name, seed, rate):
         spmd, params, oracle = _sweep_case(name)
         plan = FaultPlan(seed=seed, corrupt_rate=rate)
-        result = run_spmd(spmd, params, backend="coop", fault_plan=plan)
+        result = run_spmd(spmd, params, fault_plan=plan)
         assert_same_arrays(result, oracle, f"{name} seed={seed} rate={rate}")
 
 

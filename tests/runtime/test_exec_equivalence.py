@@ -1,21 +1,18 @@
-"""Execution-engine equivalence: every backend x codegen mode x
-transport must be *exactly* the machine the paper's experiments ran on.
+"""Execution equivalence: every codegen mode x transport must be
+*exactly* the machine the paper's experiments ran on.
 
 The vectorized emitter (numpy block operations with closed-form cost
-charging) and the cooperative scheduler (coroutines in virtual-time
-order) are performance features only: for every workload of the
-unified conformance matrix (``trace_workloads``) they must produce
+charging) is a performance feature only: for every workload of the
+unified conformance matrix (``trace_workloads``) it must produce
 bit-identical final arrays, an equal makespan, and identical
-per-processor ``ProcStats`` compared to the shipped scalar+threads
-configuration.  The one-sided transport rides the same matrix: it must
-match the reliable transport's arrays, clocks and makespan exactly
-(its ``ProcStats`` additionally count puts/gets/fences, so the
-cross-transport oracle is arrays + clocks, not stats equality).  Any
-drift -- a clock charged in a different order, a skipped guard, a
-payload copied differently -- fails here.
+per-processor ``ProcStats`` compared to scalar codegen.  The one-sided
+transport rides the same matrix: it must match the reliable
+transport's arrays, clocks and makespan exactly (its ``ProcStats``
+additionally count puts/gets/fences, so the cross-transport oracle is
+arrays + clocks, not stats equality).  Any drift -- a clock charged in
+a different order, a skipped guard, a payload copied differently --
+fails here.
 """
-
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -24,13 +21,12 @@ from hypothesis import strategies as st
 from repro.codegen import SPMDOptions, generate_spmd
 from repro.decomp import block, block_loop
 from repro.lang import parse
-from repro.runtime import DeadlockError, Machine, run_spmd
+from repro.runtime import run_spmd
 
 from .trace_workloads import (
-    COMBOS,
-    FIG2_SRC,
     STENCIL_SRC,
     TRANSPORTS,
+    VECTORIZE,
     WORKLOADS,
     assert_identical_runs,
     assert_same_arrays,
@@ -40,22 +36,18 @@ from .trace_workloads import (
 
 def sweep(name, params):
     base = None
-    for vec, backend in COMBOS:
-        result = run_spmd(
-            compiled_spmd(name, vectorize=vec), params, backend=backend
-        )
+    for vec in VECTORIZE:
+        result = run_spmd(compiled_spmd(name, vectorize=vec), params)
         if base is None:
             base = result
         else:
-            assert_identical_runs(
-                base, result, f"vectorize={vec} backend={backend}"
-            )
+            assert_identical_runs(base, result, f"vectorize={vec}")
     return base
 
 
-class TestBackendEquivalence:
+class TestCodegenEquivalence:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_bit_identical_across_combos(self, name):
+    def test_bit_identical_across_codegen_modes(self, name):
         _build, params = WORKLOADS[name]
         sweep(name, params)
 
@@ -67,7 +59,7 @@ class TestBackendEquivalence:
         for early in (False, True):
             spmd = compiled_spmd(name, early_puts=early)
             runs = {
-                tr: run_spmd(spmd, params, reliability=tr, backend="coop")
+                tr: run_spmd(spmd, params, reliability=tr)
                 for tr in TRANSPORTS
             }
             base = runs["reliable"]
@@ -90,9 +82,9 @@ class TestBackendEquivalence:
         assert compute_lines
         assert all("execute_stmt" in ln for ln in compute_lines)
 
-    def test_initial_data_layouts_survive_backends(self):
+    def test_initial_data_layouts_survive_codegen_modes(self):
         """Overlap layouts + preload communication through both
-        backends and both codegen modes."""
+        codegen modes."""
         program = parse(STENCIL_SRC, name="stencil")
         stmt = program.statements()[0]
         comps = {stmt.name: block_loop(stmt, ["i"], [8])}
@@ -102,20 +94,16 @@ class TestBackendEquivalence:
         }
         params = {"N": 30, "T": 1, "P": 4}
         base = None
-        for vec, backend in COMBOS:
+        for vec in VECTORIZE:
             spmd = generate_spmd(
                 program, comps, initial_data=layout,
                 options=SPMDOptions(vectorize=vec),
             )
-            result = run_spmd(
-                spmd, params, initial_data=layout, backend=backend
-            )
+            result = run_spmd(spmd, params, initial_data=layout)
             if base is None:
                 base = result
             else:
-                assert_identical_runs(
-                    base, result, f"vectorize={vec} backend={backend}"
-                )
+                assert_identical_runs(base, result, f"vectorize={vec}")
 
 
 @st.composite
@@ -155,71 +143,14 @@ class TestRandomProgramEquivalence:
                 prog, comps, initial_data=init, options=options
             )
 
-        compiled = {
-            vec: build(SPMDOptions(vectorize=vec))
-            for vec in (False, True)
-        }
         base = None
-        for vec, backend in COMBOS:
+        for vec in VECTORIZE:
             result = run_spmd(
-                compiled[vec], {"P": nprocs},
-                initial_data=init, backend=backend,
+                build(SPMDOptions(vectorize=vec)), {"P": nprocs},
+                initial_data=init,
             )
             if base is None:
                 base = result
             else:
-                assert_identical_runs(
-                    base, result, f"vectorize={vec} backend={backend}"
-                )
+                assert_identical_runs(base, result, f"vectorize={vec}")
 
-
-class TestCoopScheduler:
-    def _machine(self, nprocs=2, timeout=60.0):
-        prog = parse(FIG2_SRC)
-        stmt = prog.statements()[0]
-        comp = block_loop(stmt, ["i"], [32])
-        return Machine(
-            prog, comp.space, {"N": 70, "T": 0, "P": nprocs},
-            timeout=timeout, backend="coop",
-        )
-
-    def test_unknown_backend_rejected(self):
-        prog = parse(FIG2_SRC)
-        stmt = prog.statements()[0]
-        comp = block_loop(stmt, ["i"], [32])
-        with pytest.raises(ValueError):
-            Machine(
-                prog, comp.space, {"N": 70, "T": 0, "P": 2},
-                backend="fibers",
-            )
-
-    def test_structural_deadlock_detected_fast(self):
-        """A mismatched receive must be diagnosed structurally (the
-        monitor's in-flight audit), not by waiting out the timeout."""
-        machine = self._machine(nprocs=2, timeout=60.0)
-
-        def bad_node(proc):
-            proc.arrays  # touch, then wait on a tag nobody sends
-            payload = yield ("recv", (0,), ("never", proc.myp[0]))
-            del payload
-
-        start = time.monotonic()
-        with pytest.raises(DeadlockError) as excinfo:
-            machine.run(bad_node)
-        assert time.monotonic() - start < 2.0
-        report = excinfo.value.report
-        assert report is not None
-        assert {p.myp for p in report.blocked} == {(0,), (1,)}
-        assert report.in_flight == 0
-
-    def test_one_sided_deadlock_names_the_waiter(self):
-        """One processor finishes; the other waits forever on it."""
-        machine = self._machine(nprocs=2, timeout=60.0)
-
-        def node(proc):
-            if proc.myp == (1,):
-                yield ("recv", (0,), ("ghost",))
-
-        with pytest.raises(DeadlockError) as excinfo:
-            machine.run(node)
-        assert "(1,)" in str(excinfo.value)

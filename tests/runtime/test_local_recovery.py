@@ -33,32 +33,24 @@ from tests.runtime.test_crash_recovery import (
 )
 from tests.runtime.trace_workloads import same_arrays
 
-BACKENDS = ("threads", "coop", "event")
 
-
-def crash_run(spmd, params, plan, backend="threads", recovery="local",
-              **kw):
+def crash_run(spmd, params, plan, recovery="local", **kw):
     kw.setdefault("checkpoint", CheckpointPolicy(every_ops=25))
     kw.setdefault("max_restarts", 10)
     return run_spmd(
-        spmd, params, fault_plan=plan, backend=backend,
-        recovery=recovery, **kw,
+        spmd, params, fault_plan=plan, recovery=recovery, **kw
     )
 
 
 class TestLocalRecoveryConformance:
-    """All five conformance workloads x {scalar, vector} x all three
-    backends: a mid-run crash under ``recovery="local"`` still produces
-    the fault-free oracle's arrays bit for bit, and the PR 5 trace
-    invariants hold."""
+    """All five conformance workloads x {scalar, vector}: a mid-run
+    crash under ``recovery="local"`` still produces the fault-free
+    oracle's arrays bit for bit, and the PR 5 trace invariants hold."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("vectorize", [False, True],
                              ids=["scalar", "vector"])
     @pytest.mark.parametrize("name", sorted(chaos.WORKLOADS))
-    def test_bit_identical_to_fault_free_oracle(
-        self, name, vectorize, backend
-    ):
+    def test_bit_identical_to_fault_free_oracle(self, name, vectorize):
         base_scenario = chaos.WORKLOADS[name]
         scenario = chaos.Scenario(
             name=base_scenario.name,
@@ -71,37 +63,29 @@ class TestLocalRecoveryConformance:
         base = run_spmd(spmd, scenario.params, trace=True)
         rank = sorted(base.arrays)[0]
         plan = FaultPlan(crashes={rank: base.makespan / 2})
-        res = crash_run(
-            spmd, scenario.params, plan, backend=backend, trace=True
-        )
+        res = crash_run(spmd, scenario.params, plan, trace=True)
         assert res.recovery_mode == "local"
         assert res.restarts == 1
         assert res.crash_events[0].myp == rank
         assert same_arrays(base, res)
         assert chaos._invariant_violation(res) is None
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_both_modes_agree_on_the_answer(self, backend):
+    def test_both_modes_agree_on_the_answer(self):
         spmd = fig2_spmd()
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(crashes={1: base.makespan / 2})
         for mode in ("global", "local"):
-            res = crash_run(
-                spmd, FIG2_PARAMS, plan, backend=backend, recovery=mode
-            )
+            res = crash_run(spmd, FIG2_PARAMS, plan, recovery=mode)
             assert res.recovery_mode == mode
             assert same_arrays(base, res)
 
-    def test_backends_agree_on_recovery_accounting(self):
-        """Local recovery is deterministic: all three backends report
-        the same restarts, wasted work and recovery time."""
+    def test_recovery_accounting_is_repeatable(self):
+        """Local recovery is deterministic: repeated runs report the
+        same restarts, wasted work, recovery time and log peak."""
         spmd = fig2_spmd()
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(crashes={1: base.makespan / 2})
-        runs = [
-            crash_run(spmd, FIG2_PARAMS, plan, backend=backend)
-            for backend in BACKENDS
-        ]
+        runs = [crash_run(spmd, FIG2_PARAMS, plan) for _ in range(2)]
         assert len({r.restarts for r in runs}) == 1
         assert len({r.work_wasted for r in runs}) == 1
         assert len({r.recovery_time for r in runs}) == 1
@@ -142,8 +126,7 @@ class TestLocalBeatsGlobal:
 class TestCrashDuringRecovery:
     """Second failures while a local replay is still in flight."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_same_rank_crashes_twice(self, backend):
+    def test_same_rank_crashes_twice(self):
         """Crash decisions re-roll per incarnation: seed 38 at rate
         0.03 kills rank (1,) and then kills its restarted incarnation
         again (found by sweep; pinned for determinism)."""
@@ -151,7 +134,7 @@ class TestCrashDuringRecovery:
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(seed=38, crash_rate=0.03)
         res = crash_run(
-            spmd, FIG2_PARAMS, plan, backend=backend,
+            spmd, FIG2_PARAMS, plan,
             checkpoint=CheckpointPolicy(every_ops=20),
         )
         assert res.restarts == 2
@@ -160,8 +143,7 @@ class TestCrashDuringRecovery:
         assert res.crash_events[1].incarnation == 1
         assert same_arrays(base, res)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_different_rank_crashes_during_replay(self, backend):
+    def test_different_rank_crashes_during_replay(self):
         """Rank 1 dies inside rank 0's recovery window (the restart
         penalty alone is 2000 time units; the second crash lands 500
         after the first)."""
@@ -170,7 +152,7 @@ class TestCrashDuringRecovery:
         t = base.makespan * 0.4
         plan = FaultPlan(crashes={0: t, 1: t + 500.0})
         res = crash_run(
-            spmd, FIG2_PARAMS, plan, backend=backend,
+            spmd, FIG2_PARAMS, plan,
             checkpoint=CheckpointPolicy(every_ops=20),
         )
         assert res.restarts == 2
@@ -204,8 +186,8 @@ PROGRAMS = {
 
 class TestCrashScheduleSweepProperty:
     """Hypothesis sweep over fig2/LU/pipe crash schedules: any single
-    scheduled crash, any rank, any checkpoint cadence, any backend --
-    local recovery always lands on the crash-free answer, bit for
+    scheduled crash, any rank, any checkpoint cadence -- local
+    recovery always lands on the crash-free answer, bit for
     bit.
 
     Crashes are scheduled at a fraction of the *target rank's own*
@@ -221,10 +203,9 @@ class TestCrashScheduleSweepProperty:
         rank=st.integers(0, 2),
         frac=st.sampled_from([0.25, 0.5, 0.75]),
         every_ops=st.sampled_from([10, 25, 60]),
-        backend=st.sampled_from(BACKENDS),
     )
     def test_local_recovery_matches_crash_free(
-        self, name, rank, frac, every_ops, backend
+        self, name, rank, frac, every_ops
     ):
         from repro.runtime.analysis import decompose
 
@@ -234,14 +215,13 @@ class TestCrashScheduleSweepProperty:
         finish = decompose(base)[(rank,)].total()
         plan = FaultPlan(crashes={rank: finish * frac})
         res = crash_run(
-            spmd, params, plan, backend=backend,
+            spmd, params, plan,
             checkpoint=CheckpointPolicy(every_ops=every_ops),
         )
         assert res.restarts >= 1
         assert same_arrays(base, res)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_crash_after_retirement_never_fires(self, backend):
+    def test_crash_after_retirement_never_fires(self):
         """A crash scheduled past a rank's finish clock is a no-op:
         the processor already retired, so nothing restarts and the
         answer is untouched (matches the chaos harness, which only
@@ -253,7 +233,7 @@ class TestCrashScheduleSweepProperty:
         finish = decompose(base)[(0,)].total()
         assert finish < base.makespan  # rank 0 really does retire early
         plan = FaultPlan(crashes={0: (finish + base.makespan) / 2})
-        res = crash_run(spmd, FIG2_PARAMS, plan, backend=backend)
+        res = crash_run(spmd, FIG2_PARAMS, plan)
         assert res.restarts == 0
         assert same_arrays(base, res)
 
@@ -317,9 +297,8 @@ class TestPoolIntegrity:
     bearing shell in the recycling pool, where a later incarnation
     could re-serve stale words."""
 
-    @pytest.mark.parametrize("backend", ["coop", "event"])
     @pytest.mark.parametrize("recovery", ["global", "local"])
-    def test_pool_holds_no_payloads_after_crash(self, backend, recovery):
+    def test_pool_holds_no_payloads_after_crash(self, recovery):
         spmd = fig2_spmd()
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(crashes={1: base.makespan / 2})
@@ -328,13 +307,12 @@ class TestPoolIntegrity:
             fault_plan=plan,
             checkpoint=CheckpointPolicy(every_ops=25),
             max_restarts=10,
-            backend=backend,
             recovery=recovery,
         )
         res = machine.run(spmd.node)
         assert res.restarts == 1
         pool = machine._envelope_pool
-        assert pool is not None and pool
+        assert pool
         assert all(env.payload is None for env in pool)
         assert all(
             np.array_equal(base.arrays[myp][name],
@@ -349,18 +327,17 @@ class TestChaosCrashTrials:
 
     def test_explore_covers_both_modes_cleanly(self):
         rep = chaos.explore(
-            workloads=["fig2"], backends=["coop"], seeds=0,
-            targeted=False,
+            workloads=["fig2"], seeds=0, targeted=False,
         )
         assert rep.ok
-        # 2 ranks x 2 fractions x 1 backend x 2 modes
+        # 2 ranks x 2 fractions x 2 modes
         assert rep.trials == 8
 
     def test_crash_reproducer_round_trips(self):
         scenario = chaos.WORKLOADS["fig2"]
         plan = FaultPlan(crashes={1: 1156.0})
         doc = chaos._make_reproducer(
-            scenario, "coop", "reliable", plan,
+            scenario, "reliable", plan,
             expected="oracle", observed="clean",
             recovery="local", checkpoint=chaos._CRASH_POLICY,
         )
@@ -374,7 +351,7 @@ class TestChaosCrashTrials:
 
     def test_finding_describe_names_recovery_mode(self):
         finding = chaos.ChaosFinding(
-            scenario="fig2", backend="coop", transport="reliable",
+            scenario="fig2", transport="reliable",
             expected="oracle", observed="array-mismatch",
             plan=FaultPlan(crashes={0: 100.0}), events=1,
             reproducer={}, recovery="local",

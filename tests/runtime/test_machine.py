@@ -82,7 +82,7 @@ class TestChannels:
         spmd = generate_spmd(prog, {stmt.name: comp})
 
         def bad_node(proc):
-            proc.recv((0,), ("never", 1))
+            yield ("recv", (0,), ("never", 1))
 
         machine = Machine(
             prog, comp.space, {"N": 70, "T": 0, "P": 2}, timeout=0.5
@@ -101,8 +101,8 @@ class TestChannels:
                 proc.send((1,), ("b",), [2.0])
                 proc.send((1,), ("a",), [1.0])
             else:
-                first = proc.recv((0,), ("a",))
-                second = proc.recv((0,), ("b",))
+                first = yield ("recv", (0,), ("a",))
+                second = yield ("recv", (0,), ("b",))
                 assert first == [1.0] and second == [2.0]
 
         machine = Machine(
@@ -119,8 +119,8 @@ class TestChannels:
             if proc.myp == (0,):
                 proc.multicast([(1,)], ("mc",), [7.0])
             else:
-                one = proc.recv_mc((0,), ("mc",))
-                two = proc.recv_mc((0,), ("mc",))
+                one = yield ("recv_mc", (0,), ("mc",))
+                two = yield ("recv_mc", (0,), ("mc",))
                 assert one == two == [7.0]
                 assert proc.stats.messages_received == 1
 

@@ -1,18 +1,17 @@
-"""Cross-backend and cross-transport trace conformance.
+"""Trace conformance across codegen modes, repeats and transports.
 
 The trace is only worth anything if it is a property of the *program
-on the modeled machine*, not of the engine that happened to execute
-it.  These tests pin that down: for every paper workload, the
-normalized event trace is **equal** between the threads and coop
-backends (at fixed codegen mode), and the communication-event subset
-is equal across all backend x vectorize combinations (vectorizing
-merges compute events but must never change what is communicated or
-when).  The one-sided transport joins the same matrix: for every
-``(workload, vectorize, backend)`` row, with and without early-put
-codegen, and with fences *priced* (nonzero ``fence_time``), the
-onesided run's arrays AND canonicalized normalized trace are
-bit-identical to the reliable run's.  A hypothesis sweep extends the
-backend guarantee to random fault-free pipelines.
+on the modeled machine*.  These tests pin that down: for every paper
+workload, the normalized event trace is equal across repeated runs,
+and the communication-event subset is equal across scalar and
+vectorized codegen (vectorizing merges compute events but must never
+change what is communicated or when).  The one-sided transport joins
+the same matrix: for every ``(workload, vectorize)`` row, with and
+without early-put codegen, and with fences *priced* (nonzero
+``fence_time``), the onesided run's arrays AND canonicalized
+normalized trace are bit-identical to the reliable run's.  A
+hypothesis sweep extends the codegen guarantee to random fault-free
+pipelines.
 """
 
 import pytest
@@ -25,10 +24,10 @@ from repro.lang import parse
 from repro.runtime import CostModel, run_spmd
 
 from .trace_workloads import (
-    COMBOS,
     COMM_KINDS,
     GRID,
     TRANSPORTS,
+    VECTORIZE,
     WORKLOADS,
     assert_same_arrays,
     canonical_trace,
@@ -37,48 +36,35 @@ from .trace_workloads import (
 )
 
 
-def traced(spmd, params, backend, **kw):
-    result = run_spmd(spmd, params, backend=backend, trace=True, **kw)
+def traced(spmd, params, **kw):
+    result = run_spmd(spmd, params, trace=True, **kw)
     assert result.trace is not None
     return result
 
 
-class TestBackendConformance:
+class TestTraceConformance:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    @pytest.mark.parametrize("vec", [False, True])
-    def test_normalized_trace_identical_across_backends(self, name, vec):
-        build, params = WORKLOADS[name]
-        spmd = build(SPMDOptions(vectorize=vec))
-        base = traced(spmd, params, "threads").trace.normalized()
-        assert base, f"{name}: empty trace"
-        coop = traced(spmd, params, "coop").trace.normalized()
-        assert coop == base, (
-            f"{name} vectorize={vec}: threads and coop traces differ"
-        )
-
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_comm_events_identical_across_all_combos(self, name):
+    def test_comm_events_identical_across_codegen_modes(self, name):
         build, params = WORKLOADS[name]
         spmds = compiled(build)
         base = None
-        for vec, backend in COMBOS:
-            rows = traced(
-                spmds[vec], params, backend
-            ).trace.normalized(COMM_KINDS)
+        for vec in VECTORIZE:
+            rows = traced(spmds[vec], params).trace.normalized(COMM_KINDS)
             if base is None:
                 base = rows
             else:
                 assert rows == base, (
-                    f"{name} vectorize={vec} backend={backend}: "
-                    f"communication events differ from the base combo"
+                    f"{name} vectorize={vec}: communication events "
+                    f"differ from scalar codegen"
                 )
 
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_trace_is_deterministic_across_repeated_runs(self, name):
         build, params = WORKLOADS[name]
         spmd = build(SPMDOptions())
-        first = traced(spmd, params, "threads").trace.normalized()
-        second = traced(spmd, params, "threads").trace.normalized()
+        first = traced(spmd, params).trace.normalized()
+        second = traced(spmd, params).trace.normalized()
+        assert first
         assert first == second
 
     def test_vectorized_blocks_span_as_single_events(self):
@@ -87,8 +73,8 @@ class TestBackendConformance:
         the same total compute span."""
         build, params = WORKLOADS["lu"]
         spmds = compiled(build)
-        scalar = traced(spmds[False], params, "threads").trace
-        vector = traced(spmds[True], params, "threads").trace
+        scalar = traced(spmds[False], params).trace
+        vector = traced(spmds[True], params).trace
         s_events = scalar.by_kind("compute")
         v_events = vector.by_kind("compute")
         assert len(v_events) < len(s_events)
@@ -111,23 +97,21 @@ _FENCED_COST = CostModel(fence_time=37.0)
 class TestOneSidedConformance:
     """PR 10 acceptance: the unified matrix, onesided vs reliable."""
 
-    @pytest.mark.parametrize("name,vec,backend", GRID)
-    def test_onesided_matches_reliable_bit_for_bit(
-        self, name, vec, backend
-    ):
+    @pytest.mark.parametrize("name,vec", GRID)
+    def test_onesided_matches_reliable_bit_for_bit(self, name, vec):
         _build, params = WORKLOADS[name]
         for early in (False, True):
             spmd = compiled_spmd(name, vectorize=vec, early_puts=early)
             runs = {
                 tr: run_spmd(
                     spmd, params, cost=_FENCED_COST, reliability=tr,
-                    backend=backend, trace=True,
+                    trace=True,
                 )
                 for tr in TRANSPORTS
             }
             base = runs["reliable"]
             other = runs["onesided"]
-            label = f"{name} vec={vec} {backend} early_puts={early}"
+            label = f"{name} vec={vec} early_puts={early}"
             assert other.makespan == base.makespan, label
             assert other.clocks == base.clocks, label
             assert_same_arrays(other, base, label)
@@ -142,14 +126,8 @@ class TestOneSidedConformance:
         ``send``/``unpack``/``recv-wait`` -- counts must correspond."""
         _build, params = WORKLOADS[name]
         spmd = compiled_spmd(name, early_puts=True)
-        rel = run_spmd(
-            spmd, params, reliability="reliable", backend="coop",
-            trace=True,
-        )
-        one = run_spmd(
-            spmd, params, reliability="onesided", backend="coop",
-            trace=True,
-        )
+        rel = run_spmd(spmd, params, reliability="reliable", trace=True)
+        one = run_spmd(spmd, params, reliability="onesided", trace=True)
         rc, oc = rel.trace.counts(), one.trace.counts()
         assert oc.get("put", 0) == rc.get("send", 0)
         assert oc.get("send", 0) == 0
@@ -171,7 +149,7 @@ class TestOneSidedConformance:
         spmd = compiled_spmd("fig2", early_puts=True)
         result = run_spmd(
             spmd, params, cost=_FENCED_COST, reliability="onesided",
-            backend="coop", trace=True,
+            trace=True,
         )
         fences = result.stat_sum("fences")
         assert fences > 0
@@ -207,7 +185,7 @@ def random_pipeline(draw):
 class TestRandomProgramConformance:
     @settings(max_examples=8, deadline=None)
     @given(random_pipeline())
-    def test_random_pipeline_traces_identical_across_backends(self, case):
+    def test_random_pipeline_comm_identical_across_codegen(self, case):
         src, block_size, nprocs = case
         prog = parse(src)
         s1 = prog.statement("s1")
@@ -222,20 +200,14 @@ class TestRandomProgramConformance:
                 prog, comps, initial_data=init,
                 options=SPMDOptions(vectorize=vec),
             )
-            for vec in (False, True)
+            for vec in VECTORIZE
         }
         comm_base = None
-        for vec in (False, True):
-            per_backend = []
-            for backend in ("threads", "coop", "event"):
-                result = run_spmd(
-                    spmds[vec], {"P": nprocs},
-                    initial_data=init, backend=backend, trace=True,
-                )
-                per_backend.append(result.trace)
-            for other in per_backend[1:]:
-                assert per_backend[0].normalized() == other.normalized()
-            comm = per_backend[0].normalized(COMM_KINDS)
+        for vec in VECTORIZE:
+            result = run_spmd(
+                spmds[vec], {"P": nprocs}, initial_data=init, trace=True,
+            )
+            comm = result.trace.normalized(COMM_KINDS)
             if comm_base is None:
                 comm_base = comm
             else:

@@ -3,9 +3,9 @@
 Under injected network faults and fail-stop crashes the trace must
 (a) surface the recovery machinery as events -- retransmissions,
 timeouts, receiver-side dedup drops, checkpoints, crashes, restarts --
-with counts that reconcile with ``ProcStats``, (b) stay identical
-across execution backends, and (c) never perturb the run: final
-arrays still match the crash-free oracle.
+with counts that reconcile with ``ProcStats``, (b) repeat exactly,
+receiver-side drop markers included, and (c) never perturb the run:
+final arrays still match the crash-free oracle.
 """
 
 import dataclasses
@@ -80,11 +80,11 @@ class TestLossyNetworkTraces:
         plan = FaultPlan(**self.PLAN)
         rel = run_spmd(
             spmd, params, fault_plan=plan, reliability="reliable",
-            backend="coop", trace=True,
+            trace=True,
         )
         one = run_spmd(
             spmd, params, fault_plan=plan, reliability="onesided",
-            backend="coop", trace=True,
+            trace=True,
         )
         assert same_arrays(rel, one)
         assert one.makespan == rel.makespan
@@ -97,32 +97,21 @@ class TestLossyNetworkTraces:
         assert counts.get("retransmit", 0) > 0
         assert counts.get("send", 0) == 0  # first attempts are puts
 
-    def test_lossy_traces_identical_across_backends(self):
+    def test_lossy_trace_repeats_with_drop_markers(self):
+        """The default normalized view includes every kind: dedup
+        drops are placed by the deterministic schedule, so repeated
+        lossy runs agree on them too."""
         build, params = WORKLOADS["fig2"]
         spmd = build(SPMDOptions())
         plan = FaultPlan(**self.PLAN)
-        runs = {
-            backend: run_spmd(
-                spmd, params, fault_plan=plan, backend=backend, trace=True
-            )
-            for backend in ("threads", "coop", "event")
-        }
-        # dup-drop placement *and count* depend on wall-clock arrival
-        # interleaving; everything else -- including every
-        # retransmit/timeout/ack-lost -- must agree
-        assert (
-            runs["threads"].trace.normalized()
-            == runs["coop"].trace.normalized()
+        first, again = (
+            run_spmd(spmd, params, fault_plan=plan, trace=True)
+            for _ in range(2)
         )
-
-        def stable_counts(trace):
-            counts = dict(trace.counts())
-            counts.pop("dup-drop", None)
-            return counts
-
-        assert stable_counts(runs["threads"].trace) == stable_counts(
-            runs["coop"].trace
-        )
+        rows = first.trace.normalized()
+        assert any(row[3] == "dup-drop" for row in rows)
+        assert rows == again.trace.normalized()
+        assert first.trace.counts() == again.trace.counts()
 
     def test_decomposition_holds_under_faults(self):
         build, params = WORKLOADS["lu"]
@@ -198,20 +187,17 @@ class TestCrashTraces:
         # per-processor recovery sums to the machine-level figure
         assert total_recovery == result.recovery_time
 
-    def test_crash_traces_identical_across_backends(self):
+    def test_crash_trace_repeats(self):
         build, params = WORKLOADS["fig2"]
         spmd = build(SPMDOptions())
         base = run_spmd(spmd, params)
         plan = FaultPlan(crashes={(0,): base.makespan / 2})
-        runs = {
-            backend: run_spmd(
+        first, again = (
+            run_spmd(
                 spmd, params, fault_plan=plan,
-                checkpoint=CheckpointPolicy(every_ops=20),
-                backend=backend, trace=True,
+                checkpoint=CheckpointPolicy(every_ops=20), trace=True,
             )
-            for backend in ("threads", "coop", "event")
-        }
-        assert (
-            runs["threads"].trace.normalized()
-            == runs["coop"].trace.normalized()
+            for _ in range(2)
         )
+        assert first.restarts == 1
+        assert first.trace.normalized() == again.trace.normalized()

@@ -26,7 +26,7 @@ import pytest
 from repro.codegen import SPMDOptions
 from repro.runtime import run_spmd
 
-from .trace_workloads import COMBOS, WORKLOADS
+from .trace_workloads import VECTORIZE, WORKLOADS
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -48,15 +48,13 @@ class TestTracedEqualsUntraced:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_tracing_changes_nothing_observable(self, name):
         build, params = WORKLOADS[name]
-        for vec, backend in COMBOS:
+        for vec in VECTORIZE:
             spmd = build(SPMDOptions(vectorize=vec))
-            off = run_spmd(spmd, params, backend=backend)
-            on = run_spmd(spmd, params, backend=backend, trace=True)
+            off = run_spmd(spmd, params)
+            on = run_spmd(spmd, params, trace=True)
             assert off.trace is None
             assert on.trace is not None and len(on.trace) > 0
-            assert_bit_identical(
-                off, on, f"{name} vectorize={vec} backend={backend}"
-            )
+            assert_bit_identical(off, on, f"{name} vectorize={vec}")
 
     def test_off_by_default_everywhere(self):
         build, params = WORKLOADS["pipe"]

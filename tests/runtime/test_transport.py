@@ -184,7 +184,7 @@ class TestRetryCap:
             if proc.myp == (0,):
                 proc.send((1,), ("x",), [1.0])
             else:
-                proc.recv((0,), ("x",))
+                yield ("recv", (0,), ("x",))
 
         machine = Machine(
             prog, comp.space, {"N": 70, "T": 0, "P": 2},

@@ -1,7 +1,7 @@
 """The unified conformance matrix: workloads, axes and oracle helpers.
 
 One module owns the grid every conformance suite sweeps --
-``(workload, vectorize, backend, transport)`` -- plus the shared
+``(workload, vectorize, transport)`` -- plus the shared
 oracle/invariant assertions, so the execution-equivalence, trace,
 fault, corruption and local-recovery suites all check the *same*
 machine configurations and any divergence is attributable to the
@@ -11,7 +11,7 @@ same programs).
 Axes:
 
 * ``WORKLOADS`` -- the five paper workloads with pinned parameters;
-* ``COMBOS`` -- {scalar, vector} x {threads, coop, event};
+* ``VECTORIZE`` -- {scalar, vector} codegen;
 * ``TRANSPORTS`` -- the two full-service transports, ``reliable``
   (two-sided ARQ) and ``onesided`` (PGAS windows over the same ARQ);
   they must be bit-exact with each other, which is what
@@ -151,12 +151,8 @@ WORKLOADS = {
     "stencil": (_builder(stencil_job), {"N": 64, "T": 3, "P": 2}),
 }
 
-#: every backend x codegen combination PR 4 introduced
-COMBOS = [
-    (vec, backend)
-    for vec in (False, True)
-    for backend in ("threads", "coop", "event")
-]
+#: scalar and vectorized codegen (PR 4): bit-identical by construction
+VECTORIZE = (False, True)
 
 #: the full-service transports that must agree bit for bit (PR 10);
 #: ``direct`` and ``unreliable`` are deliberately absent -- one prices
@@ -164,15 +160,11 @@ COMBOS = [
 TRANSPORTS = ("reliable", "onesided")
 
 #: the full conformance grid: one row per machine configuration
-GRID = [
-    (name, vec, backend)
-    for name in sorted(WORKLOADS)
-    for vec, backend in COMBOS
-]
+GRID = [(name, vec) for name in sorted(WORKLOADS) for vec in VECTORIZE]
 
-#: communication-event kinds: invariant not just across backends but
-#: across scalar/vectorized codegen too (vectorization only merges
-#: compute events; it must never change what is communicated or when)
+#: communication-event kinds: invariant across scalar/vectorized
+#: codegen (vectorization only merges compute events; it must never
+#: change what is communicated or when)
 COMM_KINDS = (
     "pack",
     "send",
@@ -192,9 +184,7 @@ COMM_KINDS = (
 
 def compiled(build):
     """{vectorize: SPMD} for one builder."""
-    return {
-        vec: build(SPMDOptions(vectorize=vec)) for vec in (False, True)
-    }
+    return {vec: build(SPMDOptions(vectorize=vec)) for vec in VECTORIZE}
 
 
 _COMPILED = {}

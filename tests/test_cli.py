@@ -56,6 +56,17 @@ class TestCLI:
         assert "validated against sequential execution: OK" in out
         assert "messages:  4" in out
 
+    def test_backend_flag_is_gone(self, program_file):
+        """One scheduler drives every run: no command takes --backend."""
+        for argv in (
+            ["run", program_file, "--block", "i=32", "-D", "N=70",
+             "-D", "T=1", "-D", "P=3", "--backend", "event"],
+            ["chaos", "--workload", "fig2", "--backend", "event"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+
     def test_compile_poly_stats(self, program_file, capsys):
         assert (
             main(
@@ -346,7 +357,7 @@ class TestChaosCLI:
     def test_clean_exploration_exits_zero(self, capsys):
         assert (
             main(
-                ["chaos", "--workload", "fig2", "--backend", "coop",
+                ["chaos", "--workload", "fig2",
                  "--seeds", "1", "--no-targeted"]
             )
             == 0
@@ -359,7 +370,7 @@ class TestChaosCLI:
         out_dir = tmp_path / "repros"
         assert (
             main(
-                ["chaos", "--workload", "fig2", "--backend", "threads",
+                ["chaos", "--workload", "fig2",
                  "--seeds", "0", "--inject-bug", "--out", str(out_dir)]
             )
             == 3
@@ -368,6 +379,11 @@ class TestChaosCLI:
         assert "FINDING" in out
         written = sorted(out_dir.glob("chaos-*.json"))
         assert written
+        # chaos-<scenario>-<transport>-<index>.json: no backend part
+        for path in written:
+            _, scenario, transport, index = path.stem.split("-")
+            assert scenario == "fig2" and index.isdigit()
+            assert transport in ("reliable", "onesided", "direct")
         assert main(["chaos", "--replay", str(written[0])]) == 0
         out = capsys.readouterr().out
         assert "replays deterministically" in out
