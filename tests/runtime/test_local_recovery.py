@@ -31,7 +31,7 @@ from tests.runtime.test_crash_recovery import (
     lu_spmd,
     pipe_spmd,
 )
-from tests.runtime.trace_workloads import same_arrays
+from tests.runtime.trace_workloads import BACKENDS, same_arrays
 
 
 def crash_run(spmd, params, plan, recovery="local", **kw):
@@ -43,14 +43,18 @@ def crash_run(spmd, params, plan, recovery="local", **kw):
 
 
 class TestLocalRecoveryConformance:
-    """All five conformance workloads x {scalar, vector}: a mid-run
-    crash under ``recovery="local"`` still produces the fault-free
-    oracle's arrays bit for bit, and the PR 5 trace invariants hold."""
+    """All five conformance workloads x {scalar, vector} x both
+    ``backend=`` names: a mid-run crash under ``recovery="local"``
+    still produces the fault-free oracle's arrays bit for bit, and the
+    PR 5 trace invariants hold."""
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("vectorize", [False, True],
                              ids=["scalar", "vector"])
     @pytest.mark.parametrize("name", sorted(chaos.WORKLOADS))
-    def test_bit_identical_to_fault_free_oracle(self, name, vectorize):
+    def test_bit_identical_to_fault_free_oracle(
+        self, name, vectorize, backend
+    ):
         base_scenario = chaos.WORKLOADS[name]
         scenario = chaos.Scenario(
             name=base_scenario.name,
@@ -63,19 +67,24 @@ class TestLocalRecoveryConformance:
         base = run_spmd(spmd, scenario.params, trace=True)
         rank = sorted(base.arrays)[0]
         plan = FaultPlan(crashes={rank: base.makespan / 2})
-        res = crash_run(spmd, scenario.params, plan, trace=True)
+        res = crash_run(
+            spmd, scenario.params, plan, backend=backend, trace=True
+        )
         assert res.recovery_mode == "local"
         assert res.restarts == 1
         assert res.crash_events[0].myp == rank
         assert same_arrays(base, res)
         assert chaos._invariant_violation(res) is None
 
-    def test_both_modes_agree_on_the_answer(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_both_modes_agree_on_the_answer(self, backend):
         spmd = fig2_spmd()
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(crashes={1: base.makespan / 2})
         for mode in ("global", "local"):
-            res = crash_run(spmd, FIG2_PARAMS, plan, recovery=mode)
+            res = crash_run(
+                spmd, FIG2_PARAMS, plan, backend=backend, recovery=mode
+            )
             assert res.recovery_mode == mode
             assert same_arrays(base, res)
 
@@ -126,7 +135,8 @@ class TestLocalBeatsGlobal:
 class TestCrashDuringRecovery:
     """Second failures while a local replay is still in flight."""
 
-    def test_same_rank_crashes_twice(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_same_rank_crashes_twice(self, backend):
         """Crash decisions re-roll per incarnation: seed 38 at rate
         0.03 kills rank (1,) and then kills its restarted incarnation
         again (found by sweep; pinned for determinism)."""
@@ -134,7 +144,7 @@ class TestCrashDuringRecovery:
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(seed=38, crash_rate=0.03)
         res = crash_run(
-            spmd, FIG2_PARAMS, plan,
+            spmd, FIG2_PARAMS, plan, backend=backend,
             checkpoint=CheckpointPolicy(every_ops=20),
         )
         assert res.restarts == 2
@@ -143,7 +153,8 @@ class TestCrashDuringRecovery:
         assert res.crash_events[1].incarnation == 1
         assert same_arrays(base, res)
 
-    def test_different_rank_crashes_during_replay(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_different_rank_crashes_during_replay(self, backend):
         """Rank 1 dies inside rank 0's recovery window (the restart
         penalty alone is 2000 time units; the second crash lands 500
         after the first)."""
@@ -152,7 +163,7 @@ class TestCrashDuringRecovery:
         t = base.makespan * 0.4
         plan = FaultPlan(crashes={0: t, 1: t + 500.0})
         res = crash_run(
-            spmd, FIG2_PARAMS, plan,
+            spmd, FIG2_PARAMS, plan, backend=backend,
             checkpoint=CheckpointPolicy(every_ops=20),
         )
         assert res.restarts == 2
@@ -221,7 +232,8 @@ class TestCrashScheduleSweepProperty:
         assert res.restarts >= 1
         assert same_arrays(base, res)
 
-    def test_crash_after_retirement_never_fires(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_crash_after_retirement_never_fires(self, backend):
         """A crash scheduled past a rank's finish clock is a no-op:
         the processor already retired, so nothing restarts and the
         answer is untouched (matches the chaos harness, which only
@@ -233,7 +245,7 @@ class TestCrashScheduleSweepProperty:
         finish = decompose(base)[(0,)].total()
         assert finish < base.makespan  # rank 0 really does retire early
         plan = FaultPlan(crashes={0: (finish + base.makespan) / 2})
-        res = crash_run(spmd, FIG2_PARAMS, plan)
+        res = crash_run(spmd, FIG2_PARAMS, plan, backend=backend)
         assert res.restarts == 0
         assert same_arrays(base, res)
 
@@ -297,8 +309,9 @@ class TestPoolIntegrity:
     bearing shell in the recycling pool, where a later incarnation
     could re-serve stale words."""
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("recovery", ["global", "local"])
-    def test_pool_holds_no_payloads_after_crash(self, recovery):
+    def test_pool_holds_no_payloads_after_crash(self, recovery, backend):
         spmd = fig2_spmd()
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(crashes={1: base.makespan / 2})
@@ -307,6 +320,7 @@ class TestPoolIntegrity:
             fault_plan=plan,
             checkpoint=CheckpointPolicy(every_ops=25),
             max_restarts=10,
+            backend=backend,
             recovery=recovery,
         )
         res = machine.run(spmd.node)

@@ -68,6 +68,16 @@ class TestLargePDeterminism:
         _assert_identical(first, again, f"{name}: run not repeatable")
 
     @pytest.mark.parametrize("name", sorted(LARGE_WORKLOADS))
+    def test_coop_alias_matches_default_at_p128(self, name):
+        """The frozen benchmark's large-P reference runs pass
+        ``backend="coop"``; at P=128 they must equal the default."""
+        spmd, params = _build(name)
+        default = run_spmd(spmd, params, trace=True)
+        coop = run_spmd(spmd, params, trace=True, backend="coop")
+        _assert_identical(default, coop, f"{name}: coop != default")
+        assert coop.sched_wakeups == default.sched_wakeups
+
+    @pytest.mark.parametrize("name", sorted(LARGE_WORKLOADS))
     def test_throughput_counters_populated(self, name):
         spmd, params = _build(name)
         result = run_spmd(spmd, params)

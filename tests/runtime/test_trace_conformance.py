@@ -6,8 +6,8 @@ workload, the normalized event trace is equal across repeated runs,
 and the communication-event subset is equal across scalar and
 vectorized codegen (vectorizing merges compute events but must never
 change what is communicated or when).  The one-sided transport joins
-the same matrix: for every ``(workload, vectorize)`` row, with and
-without early-put codegen, and with fences *priced* (nonzero
+the same matrix: for every ``(workload, vectorize, backend)`` row,
+with and without early-put codegen, and with fences *priced* (nonzero
 ``fence_time``), the onesided run's arrays AND canonicalized
 normalized trace are bit-identical to the reliable run's.  A
 hypothesis sweep extends the codegen guarantee to random fault-free
@@ -97,21 +97,23 @@ _FENCED_COST = CostModel(fence_time=37.0)
 class TestOneSidedConformance:
     """PR 10 acceptance: the unified matrix, onesided vs reliable."""
 
-    @pytest.mark.parametrize("name,vec", GRID)
-    def test_onesided_matches_reliable_bit_for_bit(self, name, vec):
+    @pytest.mark.parametrize("name,vec,backend", GRID)
+    def test_onesided_matches_reliable_bit_for_bit(
+        self, name, vec, backend
+    ):
         _build, params = WORKLOADS[name]
         for early in (False, True):
             spmd = compiled_spmd(name, vectorize=vec, early_puts=early)
             runs = {
                 tr: run_spmd(
                     spmd, params, cost=_FENCED_COST, reliability=tr,
-                    trace=True,
+                    backend=backend, trace=True,
                 )
                 for tr in TRANSPORTS
             }
             base = runs["reliable"]
             other = runs["onesided"]
-            label = f"{name} vec={vec} early_puts={early}"
+            label = f"{name} vec={vec} {backend} early_puts={early}"
             assert other.makespan == base.makespan, label
             assert other.clocks == base.clocks, label
             assert_same_arrays(other, base, label)

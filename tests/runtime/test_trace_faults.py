@@ -113,6 +113,20 @@ class TestLossyNetworkTraces:
         assert rows == again.trace.normalized()
         assert first.trace.counts() == again.trace.counts()
 
+    def test_lossy_trace_identical_under_coop_alias(self):
+        """``backend="coop"`` names the same engine, so it draws the
+        same faults and places the same drop markers."""
+        build, params = WORKLOADS["fig2"]
+        spmd = build(SPMDOptions())
+        plan = FaultPlan(**self.PLAN)
+        default, coop = (
+            run_spmd(spmd, params, fault_plan=plan, trace=True, **kw)
+            for kw in ({}, {"backend": "coop"})
+        )
+        assert coop.stat_sum("retransmissions") > 0
+        assert same_arrays(default, coop)
+        assert coop.trace.normalized() == default.trace.normalized()
+
     def test_decomposition_holds_under_faults(self):
         build, params = WORKLOADS["lu"]
         spmd = build(SPMDOptions())
@@ -201,3 +215,19 @@ class TestCrashTraces:
         )
         assert first.restarts == 1
         assert first.trace.normalized() == again.trace.normalized()
+
+    def test_crash_trace_identical_under_coop_alias(self):
+        build, params = WORKLOADS["fig2"]
+        spmd = build(SPMDOptions())
+        base = run_spmd(spmd, params)
+        plan = FaultPlan(crashes={(0,): base.makespan / 2})
+        default, coop = (
+            run_spmd(
+                spmd, params, fault_plan=plan,
+                checkpoint=CheckpointPolicy(every_ops=20), trace=True, **kw,
+            )
+            for kw in ({}, {"backend": "coop"})
+        )
+        assert coop.restarts == default.restarts == 1
+        assert same_arrays(default, coop)
+        assert coop.trace.normalized() == default.trace.normalized()

@@ -1,7 +1,7 @@
 """Trace invariants (ISSUE 5 satellite 2 + satellite 4 + acceptance).
 
 Property tests over every paper workload under both codegen modes
-(scalar and vectorized):
+(scalar and vectorized) and both ``backend=`` names:
 
 * every ``recv-complete`` matches a send with an equal word count;
 * per-processor event clocks are monotone, and the spanning events
@@ -28,27 +28,30 @@ from repro.runtime import (
 )
 from repro.runtime.analysis import unmatched_receives
 
-from .trace_workloads import GRID, VECTORIZE, WORKLOADS, compiled
+from .trace_workloads import BACKENDS, GRID, VECTORIZE, WORKLOADS, compiled
 
 
 @pytest.fixture(scope="module")
 def runs():
-    """One traced run per (workload, vectorize)."""
+    """One traced run per (workload, vectorize, backend)."""
     out = {}
     for name in sorted(WORKLOADS):
         build, params = WORKLOADS[name]
         spmds = compiled(build)
         for vec in VECTORIZE:
-            out[(name, vec)] = run_spmd(spmds[vec], params, trace=True)
+            for backend in BACKENDS:
+                out[(name, vec, backend)] = run_spmd(
+                    spmds[vec], params, backend=backend, trace=True
+                )
     return out
 
 
-@pytest.mark.parametrize("name,vec", GRID)
+@pytest.mark.parametrize("name,vec,backend", GRID)
 class TestTraceInvariants:
     def test_every_receive_matches_a_send_with_equal_words(
-        self, runs, name, vec
+        self, runs, name, vec, backend
     ):
-        trace = runs[(name, vec)].trace
+        trace = runs[(name, vec, backend)].trace
         receives = trace.by_kind("recv-complete")
         pairs = match_messages(trace)
         assert len(pairs) == len(receives)
@@ -62,9 +65,9 @@ class TestTraceInvariants:
             assert recv.arrival >= send.end
 
     def test_per_processor_clocks_monotone_and_contiguous(
-        self, runs, name, vec
+        self, runs, name, vec, backend
     ):
-        result = runs[(name, vec)]
+        result = runs[(name, vec, backend)]
         trace = result.trace
         for rank in trace.proc_ranks():
             events = trace.per_rank(rank)
@@ -87,8 +90,10 @@ class TestTraceInvariants:
                 edge = ev.end
             assert edge == result.clocks[rank]
 
-    def test_critical_path_equals_makespan(self, runs, name, vec):
-        result = runs[(name, vec)]
+    def test_critical_path_equals_makespan(
+        self, runs, name, vec, backend
+    ):
+        result = runs[(name, vec, backend)]
         path = critical_path(result.trace)
         assert path.complete
         assert path.length == result.makespan
@@ -105,9 +110,9 @@ class TestTraceInvariants:
                 assert cur.end == cur.arrival
 
     def test_comm_matrix_reconciles_with_proc_stats(
-        self, runs, name, vec
+        self, runs, name, vec, backend
     ):
-        result = runs[(name, vec)]
+        result = runs[(name, vec, backend)]
         trace = result.trace
         matrix = comm_matrix(trace)
         assert matrix.total_messages == result.total_messages
@@ -122,13 +127,13 @@ class TestTraceInvariants:
             assert words == stats.words_received
 
     def test_decomposition_sums_to_finish_clock(
-        self, runs, name, vec
+        self, runs, name, vec, backend
     ):
         """The satellite-4 accounting audit: with send overhead and
         receive overhead now in dedicated ProcStats buckets, the
         decomposition is exhaustive -- buckets sum to the finish clock
         with zero residue, scalar and vectorized alike."""
-        result = runs[(name, vec)]
+        result = runs[(name, vec, backend)]
         for myp, stats in result.stats.items():
             deco = Decomposition.from_stats(stats)
             assert deco.total() == result.clocks[myp], (
@@ -145,7 +150,7 @@ class TestTraceInvariants:
 
 class TestChromeExport:
     def test_chrome_export_shape(self, runs):
-        result = runs[("fig2", True)]
+        result = runs[("fig2", True, "event")]
         doc = result.trace.to_chrome()
         assert set(doc) == {"traceEvents", "displayTimeUnit"}
         events = doc["traceEvents"]
@@ -167,7 +172,7 @@ class TestChromeExport:
     def test_write_chrome_roundtrip(self, runs, tmp_path):
         import json
 
-        result = runs[("pipe", False)]
+        result = runs[("pipe", False, "coop")]
         out = tmp_path / "trace.json"
         result.trace.write_chrome(str(out))
         doc = json.loads(out.read_text())

@@ -1,7 +1,7 @@
 """The unified conformance matrix: workloads, axes and oracle helpers.
 
 One module owns the grid every conformance suite sweeps --
-``(workload, vectorize, transport)`` -- plus the shared
+``(workload, vectorize, backend, transport)`` -- plus the shared
 oracle/invariant assertions, so the execution-equivalence, trace,
 fault, corruption and local-recovery suites all check the *same*
 machine configurations and any divergence is attributable to the
@@ -12,6 +12,9 @@ Axes:
 
 * ``WORKLOADS`` -- the five paper workloads with pinned parameters;
 * ``VECTORIZE`` -- {scalar, vector} codegen;
+* ``BACKENDS`` -- the two accepted ``backend=`` names, ``coop`` and
+  ``event``, which select the same scheduler and must agree bit for
+  bit;
 * ``TRANSPORTS`` -- the two full-service transports, ``reliable``
   (two-sided ARQ) and ``onesided`` (PGAS windows over the same ARQ);
   they must be bit-exact with each other, which is what
@@ -159,8 +162,17 @@ VECTORIZE = (False, True)
 #: no reliability machinery, the other provides none
 TRANSPORTS = ("reliable", "onesided")
 
+#: the two names ``backend=`` accepts; both select the one scheduler,
+#: and the frozen benchmark passes each, so the grid runs under both
+BACKENDS = ("coop", "event")
+
 #: the full conformance grid: one row per machine configuration
-GRID = [(name, vec) for name in sorted(WORKLOADS) for vec in VECTORIZE]
+GRID = [
+    (name, vec, backend)
+    for name in sorted(WORKLOADS)
+    for vec in VECTORIZE
+    for backend in BACKENDS
+]
 
 #: communication-event kinds: invariant across scalar/vectorized
 #: codegen (vectorization only merges compute events; it must never
