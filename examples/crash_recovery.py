@@ -11,11 +11,13 @@ ways:
    `CrashReport` naming the dead processor, the op it died at, and
    every processor's last usable checkpoint;
 3. **crash + checkpoint/restart**: the same death, but the machine
-   rolls every processor back to its last snapshot, replays
-   deterministically (receives fed from the receive log, cross-cut
-   messages re-injected from the delivery log), and completes with
-   bit-identical arrays -- at a makespan that prices the lost work,
-   the restart penalty, and the snapshot reloads;
+   restarts only rank 0 from its last snapshot while every live rank
+   keeps running.  The restarted rank fast-forwards deterministically
+   (receives fed from its receive log), the messages it is still owed
+   are re-served from the sender log, and the duplicates of its own
+   re-executed sends are dropped by the receivers' dedup.  The run
+   completes with bit-identical arrays -- at a makespan that prices
+   the lost work, the restart penalty, and the snapshot reload;
 4. **crash + recovery through a faulty network**: crashes, drops and
    duplicates at once; the reliable ARQ and the checkpoint subsystem
    compose.

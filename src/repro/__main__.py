@@ -316,7 +316,6 @@ def cmd_run(args) -> int:
             checksums={"auto": None, "on": True, "off": False}[
                 args.checksums
             ],
-            recovery=args.recovery_mode,
             log_bytes_cap=args.log_bytes_cap,
         )
     except (CrashError, DeadlockError, TransportError) as exc:
@@ -360,7 +359,7 @@ def cmd_run(args) -> int:
     if result.crash_events or result.checkpoints:
         print(
             f"resilience: {len(result.crash_events)} crash(es), "
-            f"{result.restarts} {result.recovery_mode} restart(s), "
+            f"{result.restarts} restart(s), "
             f"{result.checkpoints} checkpoint(s) taken, "
             f"{result.recovery_time:.0f} time units spent recovering, "
             f"{result.work_wasted:.0f} time units of work discarded"
@@ -410,11 +409,6 @@ def cmd_chaos(args) -> int:
         print("NOT reproduced: the replay diverged from the recording")
         return 1
     workloads = list(dict.fromkeys(args.workload or sorted(chaos.WORKLOADS)))
-    recovery_modes = (
-        ("global", "local")
-        if args.recovery_mode == "both"
-        else (args.recovery_mode,)
-    )
     transports = list(
         dict.fromkeys(args.transport or ["reliable", "onesided"])
     )
@@ -429,7 +423,6 @@ def cmd_chaos(args) -> int:
             targeted=not args.no_targeted,
             vectorize=args.vectorize,
             shrink_budget=args.shrink_budget,
-            recovery_modes=recovery_modes,
             crashes=not args.no_crashes,
             transports=transports,
             log=lambda msg: print(f"chaos: {msg}"),
@@ -661,14 +654,9 @@ def main(argv=None) -> int:
     )
     res.add_argument(
         "--max-restarts", type=_nonneg_int, default=3, metavar="N",
-        help="coordinated rollbacks to attempt before giving up with a "
-        "crash report (default 3)",
-    )
-    res.add_argument(
-        "--recovery-mode", choices=["global", "local"], default="global",
-        help="crash recovery discipline: global = roll every rank back "
-        "to its checkpoint (default), local = restart only the crashed "
-        "rank, re-serving its messages from the sender log",
+        help="crashed-rank restarts to attempt before giving up with a "
+        "crash report (default 3); each restarts only the crashed rank, "
+        "re-serving its messages from the sender log",
     )
     res.add_argument(
         "--log-bytes-cap", type=_pos_int, default=None, metavar="BYTES",
@@ -714,12 +702,6 @@ def main(argv=None) -> int:
         "--no-targeted", action="store_true",
         help="skip the explicit schedules aimed at critical-path "
         "messages",
-    )
-    p_chaos.add_argument(
-        "--recovery-mode", choices=["global", "local", "both"],
-        default="both",
-        help="crash-recovery discipline(s) the scheduled crash trials "
-        "run under (default: both)",
     )
     p_chaos.add_argument(
         "--no-crashes", action="store_true",

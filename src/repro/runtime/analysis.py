@@ -199,7 +199,7 @@ class Decomposition:
     fault_stall: float = 0.0
     checkpoint: float = 0.0
     #: crash recovery: failure detection + restart penalty + reload,
-    #: plus waiting for the crash instant (per rollback)
+    #: plus waiting for the crash instant (per restart)
     recovery: float = 0.0
     #: explicit ``Processor.tick`` charges (hand-written harnesses)
     tick: float = 0.0
@@ -428,8 +428,7 @@ def summarize(result) -> str:
         result, "crash_events", None
     ):
         lines.append(
-            f"resilience: recovery={getattr(result, 'recovery_mode', 'global')}, "
-            f"{result.restarts} restart(s), "
+            f"resilience: {result.restarts} restart(s), "
             f"{len(result.crash_events)} crash(es), "
             f"work wasted {result.work_wasted:g}, "
             f"sender log peak {getattr(result, 'log_bytes_peak', 0)} bytes"

@@ -382,9 +382,7 @@ def _observe(
     plan,
     transport,
     oracle_arrays,
-    recovery: str = "global",
     checkpoint: Optional[CheckpointPolicy] = None,
-    max_restarts: int = 3,
 ) -> str:
     """Run one trial and name the outcome.
 
@@ -402,9 +400,7 @@ def _observe(
             fault_plan=plan,
             reliability=transport,
             trace=True,
-            recovery=recovery,
             checkpoint=checkpoint,
-            max_restarts=max_restarts,
         )
     except CorruptionError:
         return "corruption-error"
@@ -536,13 +532,10 @@ class ChaosFinding:
     events: int
     #: self-contained replayable artifact (see :func:`replay_reproducer`)
     reproducer: dict
-    #: recovery mode the trial ran under ("global" or "local")
-    recovery: str = "global"
 
     def describe(self) -> str:
         return (
-            f"{self.scenario} [{self.transport}/"
-            f"{self.recovery}] "
+            f"{self.scenario} [{self.transport}] "
             f"expected {self.expected}, observed {self.observed} "
             f"({self.events} fault event(s) after shrinking)"
         )
@@ -594,7 +587,6 @@ def _make_reproducer(
     plan: FaultPlan,
     expected: str,
     observed: str,
-    recovery: str = "global",
     checkpoint: Optional[CheckpointPolicy] = None,
 ) -> dict:
     return {
@@ -605,7 +597,6 @@ def _make_reproducer(
         "plan": plan_to_json(plan),
         "expected": expected,
         "observed": observed,
-        "recovery": recovery,
         "checkpoint": _policy_to_json(checkpoint),
     }
 
@@ -625,7 +616,6 @@ def explore(
     targeted_limit: int = 4,
     vectorize: bool = False,
     shrink_budget: int = 150,
-    recovery_modes: Sequence[str] = ("global", "local"),
     crashes: bool = True,
     transports: Sequence[str] = ("reliable",),
     log=None,
@@ -640,9 +630,8 @@ def explore(
     for each targeted schedule, a direct-transport trial expecting a
     structured ``CorruptionError``.  With ``crashes`` (the default),
     scheduled fail-stop crash plans -- each rank killed at fractions of
-    the fault-free makespan -- run under every ``recovery_modes`` entry
-    (global rollback and localized sender-log recovery), expecting
-    bit-exact oracle arrays either way.  Returns a
+    the fault-free makespan -- run under localized sender-log recovery,
+    expecting bit-exact oracle arrays.  Returns a
     :class:`ChaosReport`; findings carry shrunk, replayable
     reproducers.
     """
@@ -653,12 +642,6 @@ def explore(
         )
     if seeds < 0:
         raise ValueError(f"seeds must be >= 0, got {seeds!r}")
-    for mode in recovery_modes:
-        if mode not in ("global", "local"):
-            raise ValueError(
-                f"unknown recovery mode {mode!r} "
-                f"(expected 'global' or 'local')"
-            )
     for tr in transports:
         if tr not in ("reliable", "onesided"):
             raise ValueError(
@@ -690,21 +673,21 @@ def explore(
             for myp, arrays in oracle.arrays.items()
         }
 
-        # (expected, plan, transport, recovery, checkpoint)
+        # (expected, plan, transport, checkpoint)
         trials: List[tuple] = []
         for seed in range(seeds):
             plan = FaultPlan(seed=seed, corrupt_rate=corrupt_rate)
             for transport in transports:
-                trials.append(("oracle", plan, transport, "global", None))
+                trials.append(("oracle", plan, transport, None))
         if targeted:
             for src, dst, seq in _critical_channel_messages(
                 oracle.trace, targeted_limit
             ):
                 plan = FaultPlan(corruptions={(src, dst, seq): 0})
                 for transport in transports:
-                    trials.append(("oracle", plan, transport, "global", None))
+                    trials.append(("oracle", plan, transport, None))
                 trials.append(
-                    ("corruption-error", plan, "direct", "global", None)
+                    ("corruption-error", plan, "direct", None)
                 )
         if crashes:
             ranks = sorted(oracle.arrays)
@@ -714,16 +697,13 @@ def explore(
                     plan = FaultPlan(
                         crashes={rank: oracle.makespan * frac}
                     )
-                    for mode in recovery_modes:
-                        trials.append((
-                            "oracle", plan, "reliable", mode, _CRASH_POLICY,
-                        ))
+                    trials.append(("oracle", plan, "reliable", _CRASH_POLICY))
 
-        for expected, plan, transport, recovery, policy in trials:
+        for expected, plan, transport, policy in trials:
             report.trials += 1
             observed = _observe(
                 spmd, params, plan, transport, oracle_arrays,
-                recovery=recovery, checkpoint=policy,
+                checkpoint=policy,
             )
             met = (
                 observed == "clean"
@@ -733,7 +713,7 @@ def explore(
             if met:
                 continue
             say(
-                f"{name} [{transport}/{recovery}]: "
+                f"{name} [{transport}]: "
                 f"expected {expected}, "
                 f"observed {observed} -- shrinking"
             )
@@ -747,7 +727,7 @@ def explore(
 
             def fails(candidate, _plan=plan,
                       _transport=transport, _observed=observed,
-                      _recovery=recovery, _policy=policy,
+                      _policy=policy,
                       _field=entries_field):
                 trial_plan = FaultPlan(
                     seed=_plan.seed,
@@ -756,8 +736,7 @@ def explore(
                 return (
                     _observe(
                         spmd, params, trial_plan, _transport,
-                        oracle_arrays,
-                        recovery=_recovery, checkpoint=_policy,
+                        oracle_arrays, checkpoint=_policy,
                     )
                     == _observed
                 )
@@ -780,10 +759,8 @@ def explore(
                 events=events,
                 reproducer=_make_reproducer(
                     scenario, transport, shrunk_plan,
-                    expected, observed,
-                    recovery=recovery, checkpoint=policy,
+                    expected, observed, checkpoint=policy,
                 ),
-                recovery=recovery,
             ))
     return report
 
@@ -808,8 +785,9 @@ def replay_reproducer(doc: dict) -> Tuple[bool, str]:
 
     ``reproduced`` is True when the replay observes exactly the failure
     kind the reproducer recorded -- the determinism guarantee the chaos
-    harness promises.  The ``backend`` field older reproducers carry
-    is ignored: every run uses the one scheduler."""
+    harness promises.  The ``backend`` and ``recovery`` fields older
+    reproducers carry are ignored: every run uses the one scheduler
+    and recovers crashes locally."""
     from .validate import run_spmd
 
     scenario = Scenario.from_json(doc["scenario"])
@@ -829,7 +807,6 @@ def replay_reproducer(doc: dict) -> Tuple[bool, str]:
             plan,
             doc["transport"],
             oracle_arrays,
-            recovery=doc.get("recovery", "global"),
             checkpoint=_policy_from_json(doc.get("checkpoint")),
         )
     finally:

@@ -1,47 +1,45 @@
-"""Coordinated checkpoint/restart for fail-stop crash tolerance.
+"""Checkpoint/restart with localized recovery for fail-stop crashes.
 
 The paper (and the iPSC/860 it targets) assumes processors never die;
-:mod:`repro.runtime.faults` can now kill one mid-program.  This module
-is the recovery half: each processor periodically snapshots its local
-state, every delivered message and every consumed payload is logged,
-and after a crash the machine rolls the whole system back to the last
-per-processor checkpoints and replays deterministically.
+:mod:`repro.runtime.faults` can kill one mid-program.  This module is
+the recovery half: each processor periodically snapshots its local
+state, every delivered message is kept in the sender-based message
+log and every consumed payload in the receiver's receive log.  After a
+crash only the crashed rank restarts; every live rank keeps running.
 
-Why uncoordinated per-processor checkpoints are consistent here
-----------------------------------------------------------------
+How one rank recovers
+---------------------
 
-Classic coordinated checkpointing (Chandy-Lamport) needs marker rounds
-because an arbitrary set of local snapshots can capture a message as
-*received but never sent* or lose one *sent but never received*.  This
-runtime sidesteps both hazards:
+* **Per-rank cut.**  Each rank checkpoints on its own schedule, with no
+  coordination and no quiescence.  The crashed rank restarts from its
+  newest snapshot whose digest still verifies; everyone else is
+  untouched.
+* **Receive-log fast-forward.**  Execution is deterministic: a node
+  program's operation sequence is a pure function of ``(program,
+  params, myp)`` and every fault decision is hash-driven.  The fresh
+  incarnation re-runs its operations up to the snapshot's cursor with
+  computes and sends suppressed and receives satisfied from its
+  receive log, then applies the snapshot (arrays, transport sequence
+  state, stash, multicast cache) and goes live.
+* **Sender-log re-serve.**  No live rank re-executes, so no message
+  the crashed rank is owed will be sent again.  Every logged message
+  to it that its cut has not consumed, and that its restored stash
+  does not already hold, is re-served from the sender log in recorded
+  per-receiver delivery order (:meth:`CheckpointStore.reinjections`).
+* **Dedup absorbs re-executed sends.**  The restarted rank re-sends
+  everything past its cut.  Its restored ``_next_seq`` reuses the
+  original sequence numbers, so the receivers drop the duplicates by
+  ARQ sequence dedup, or the tag-keyed stash overwrites them
+  idempotently on the direct channel.
 
-* Execution is **deterministic**: a node program's operation sequence
-  (compute, send, recv) is a pure function of ``(program, params,
-  myp)``, and all fault decisions are hash-driven.  Replaying from any
-  operation index therefore reproduces the original run bit-for-bit.
-* Recovery **replays, never re-receives**: a restarted processor
-  fast-forwards through the operations its snapshot already covers --
-  sends are suppressed (their deliveries are in the log), receives are
-  satisfied from the **receive log** -- and goes live exactly at its
-  snapshot's operation index with its arrays, transport sequence
-  state, stash and multicast cache restored.
-* Messages **crossing the cut** (sent before the sender's snapshot,
-  consumed after the receiver's) are re-injected from the **delivery
-  log**; messages the *receiver* consumed before its snapshot are not
-  re-injected, and duplicates produced by a sender re-sending past its
-  own cut are absorbed by the reliable transport's sequence-number
-  dedup (the receiver's seen-set is restored with its snapshot) or by
-  the stash's idempotent overwrite under the direct channel.
-
-So any combination of per-processor cut points is a recoverable global
-state -- the logs play the role of the marker rounds, which is why
-checkpoints can be taken at dependence-level boundaries (communication
-calls) with no inter-processor coordination and no quiescence.
+So any per-rank cut is recoverable: the logs stand in for the marker
+rounds of Chandy-Lamport coordinated checkpointing, and only the
+crashed rank's work past its cut is lost (DESIGN.md §9).
 
 Cost model: each snapshot charges ``checkpoint_word_time`` per local
-array word to the processor's clock; each rollback charges the
+array word to the processor's clock; each restart charges the
 machine-level ``restart_penalty`` plus the word cost of reloading the
-snapshot, and every processor resumes no earlier than the crash's
+snapshot, and the restarted rank resumes no earlier than the crash's
 model time -- so the makespan of a crashed-and-recovered run prices
 the lost work plus the recovery, exactly what
 ``benchmarks/bench_checkpoint_overhead.py`` sweeps.
@@ -50,7 +48,7 @@ Snapshot integrity (DESIGN.md §12): stable storage can rot too.  When
 checksumming is on, every snapshot records a BLAKE2b digest of its
 array state; a corruption-capable plan may flip a word in a stored
 snapshot *after* the digest is taken (``checkpoint_corrupt_rate`` /
-explicit ``checkpoint_corruptions``).  Rollback then **verifies before
+explicit ``checkpoint_corruptions``).  Recovery then **verifies before
 restoring**: a snapshot whose digest no longer matches is rejected and
 recovery falls back to the previous valid cut -- more lost work,
 never garbage state.  The per-rank snapshot *history* needed for that
@@ -162,17 +160,11 @@ class Snapshot:
     #: snapshot so post-recovery retransmission timing is bit-identical
     arq_rto: Dict[Tuple[int, ...], float] = field(default_factory=dict)
     #: BLAKE2b digest of ``arrays`` at capture time (None when
-    #: checksumming is off); verified by rollback before restoring
+    #: checksumming is off); verified by recovery before restoring
     digest: Optional[int] = None
     #: per-rank checkpoint ordinal (0 = baseline), the key the fault
     #: plan's checkpoint-corruption stream is indexed by
     ordinal: int = 0
-
-
-#: one logical message observed entering a mailbox -- now the sender
-#: log's :class:`~.transport.LogRecord` (payload + determinants), kept
-#: under its historical name for the rollback machinery
-_Delivery = LogRecord
 
 
 @dataclass
@@ -186,7 +178,7 @@ class _Recv:
 
 class CheckpointStore:
     """Snapshots plus the delivery/receive logs that make them
-    globally consistent (see the module docstring).
+    recoverable (see the module docstring).
 
     One store lives for one :meth:`Machine.run` call, across all
     incarnations.
@@ -203,7 +195,7 @@ class CheckpointStore:
         self.plan = plan
         self.digests = digests
         #: retain full per-rank snapshot history only when the plan can
-        #: corrupt stored snapshots -- that is the only case rollback
+        #: corrupt stored snapshots -- that is the only case recovery
         #: may need an older cut to fall back to
         self.keep_history = (
             plan is not None and plan.any_checkpoint_corruption
@@ -212,8 +204,7 @@ class CheckpointStore:
         self.history: Dict[Tuple[int, ...], List[Snapshot]] = {}
         self.recv_logs: Dict[Tuple[int, ...], List[_Recv]] = {}
         #: the sender-based message log: every delivered payload plus
-        #: its determinants, the substrate of both rollback modes'
-        #: re-injection (and of ``recovery="local"``'s replay server)
+        #: its determinants, re-served to a restarted rank
         self.log = MessageLog(bytes_cap=log_bytes_cap)
         self._ordinals: Dict[Tuple[int, ...], int] = {}
         self.checkpoints_taken = 0
@@ -227,7 +218,7 @@ class CheckpointStore:
         """Capture ``proc``'s state after its current operation.
 
         The digest is taken *before* any plan-driven storage
-        corruption flips a word, which is exactly what lets rollback
+        corruption flips a word, which is exactly what lets recovery
         detect the rot and reject the snapshot."""
         arrays = {name: arr.copy() for name, arr in proc.arrays.items()}
         words = int(sum(arr.size for arr in arrays.values()))
@@ -293,7 +284,7 @@ class CheckpointStore:
         """The implicit pc=0 checkpoint: initial state, free of charge.
 
         Always present, so recovery works even with no checkpoint
-        policy configured -- the rollback then simply replays the whole
+        policy configured -- the restart then simply replays the whole
         program (maximal lost work, zero checkpoint overhead)."""
         return self.snapshot(proc)
 
@@ -332,7 +323,7 @@ class CheckpointStore:
         """Record one logical message entering ``dest``'s mailbox.
 
         Delegates to the sender-based :class:`~.transport.MessageLog`:
-        first valid copy wins, determinants (src, seq, sender_pc,
+        first valid copy wins, determinants (src, seq,
         per-receiver delivery order) travel with the payload, and a
         configured byte cap surfaces as a structured
         :class:`~.transport.LogOverflowError` in the sender's context.
@@ -361,7 +352,7 @@ class CheckpointStore:
         proc._replay_idx += 1
         return copy_payload(log[idx].payload)
 
-    # -- rollback support ----------------------------------------------------
+    # -- recovery support ----------------------------------------------------
 
     def _verifies(self, snap: Snapshot) -> bool:
         if snap.digest is None or _transport._VERIFY_DISABLED:
@@ -375,7 +366,7 @@ class CheckpointStore:
         newer snapshots that failed verification, newest first (the
         machine traces and counts each).  The surviving snapshot is
         installed as the rank's current cut *before* log truncation
-        and re-injection run, so the whole rollback is computed
+        and re-injection run, so the whole recovery is computed
         against the fallback cut."""
         myp = tuple(myp)
         snap = self.snapshots.get(myp)
@@ -395,17 +386,10 @@ class CheckpointStore:
         # snapshot exactly as the pre-verification runtime did
         return snap, []
 
-    def truncate_recv_logs(self) -> None:
-        """Drop log entries past each processor's cut; the aborted
-        incarnation's suffix will be re-consumed (and re-logged) live."""
-        for myp in list(self.recv_logs):
-            self.truncate_recv_log(myp)
-
     def truncate_recv_log(self, myp: Tuple[int, ...]) -> None:
-        """Per-rank variant: drop ``myp``'s receive-log entries past its
-        cut.  Local recovery restarts one rank only, so only that
-        rank's aborted suffix is re-consumed live; every other rank's
-        log keeps growing undisturbed."""
+        """Drop ``myp``'s receive-log entries past its cut.  Only the
+        restarted rank's aborted suffix is re-consumed (and re-logged)
+        live; every other rank's log keeps growing undisturbed."""
         myp = tuple(myp)
         log = self.recv_logs.get(myp)
         if not log:
@@ -416,40 +400,11 @@ class CheckpointStore:
         if len(keep) != len(log):
             self.recv_logs[myp] = keep
 
-    def reinjections(self, dest: Tuple[int, ...]) -> List[_Delivery]:
-        """Messages that crossed ``dest``'s cut: delivered in a past
-        incarnation by a send the restarted sender will *skip* (its
-        ``sender_pc`` is inside the sender's snapshot), and neither
-        consumed by ``dest`` before its own cut nor already sitting in
-        its restored stash.  These must be re-materialized into the
-        fresh mailbox; everything else is either already in the
-        snapshot or will be re-sent live."""
-        dest = tuple(dest)
-        snap = self.snapshots[dest]
-        consumed = {
-            rec.tag
-            for rec in self.recv_logs.get(dest, ())
-            if rec.pc <= snap.pc
-        }
-        out = []
-        for rec in self.log.records_for(dest):
-            sender_snap = self.snapshots.get(rec.src)
-            sender_cut = sender_snap.pc if sender_snap is not None else 0
-            if rec.sender_pc > sender_cut:
-                continue  # the restarted sender will re-send this live
-            if rec.tag in consumed or rec.tag in snap.stash:
-                continue
-            out.append(rec)
-        out.sort(key=lambda rec: (rec.arrival, repr(rec.tag)))
-        return out
+    def reinjections(self, dest: Tuple[int, ...]) -> List[LogRecord]:
+        """The replay set for the recovery of ``dest``.
 
-    def local_reinjections(self, dest: Tuple[int, ...]) -> List[_Delivery]:
-        """The replay set for a **local** recovery of ``dest``.
-
-        Unlike the coordinated :meth:`reinjections`, the live ranks
-        never re-execute, so *no* send will re-happen -- the
-        ``sender_pc``-vs-sender-cut filter does not apply.  Every
-        logged message to ``dest`` that its own cut has not consumed
+        The live ranks never re-execute, so *no* send will re-happen.
+        Every logged message to ``dest`` that its own cut has not consumed
         (and that its restored stash does not already hold) must be
         re-served from the sender log.  Messages the restarted rank
         will itself re-send past its cut are duplicates at their

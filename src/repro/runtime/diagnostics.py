@@ -54,7 +54,7 @@ class DeadlockError(Exception):
 
 @dataclass(frozen=True)
 class CrashEvent:
-    """One fail-stop crash observed by the supervision loop."""
+    """One fail-stop crash observed by the machine."""
 
     myp: Tuple[int, ...]
     model_time: float
@@ -74,12 +74,11 @@ class CrashEvent:
 class CrashReport:
     """Structured post-mortem when crash recovery gives up.
 
-    Built by the machine's supervision loop after ``max_restarts``
-    rollbacks have been spent (or immediately, with
-    ``max_restarts=0``): which processors died, when, how many
-    restarts were attempted, and where each processor's last usable
-    checkpoint sits -- everything an operator needs to size the
-    checkpoint interval or the restart budget.
+    Built by the machine after ``max_restarts`` restarts have been
+    spent (or immediately, with ``max_restarts=0``): which processors
+    died, when, how many restarts were attempted, and where each
+    processor's last usable checkpoint sits -- everything an operator
+    needs to size the checkpoint interval or the restart budget.
     """
 
     events: List[CrashEvent]

@@ -98,8 +98,8 @@ class ProcessorCrashed(Exception):
     """A fail-stop crash fault fired on one processor.
 
     Raised inside the processor's node program to kill it mid-program;
-    the machine's supervision loop catches it and either rolls every
-    processor back to the last checkpoint or gives up with a
+    the scheduler catches it and either restarts that processor from
+    its last checkpoint or gives up with a
     :class:`~repro.runtime.diagnostics.CrashError`.
     """
 

@@ -30,11 +30,11 @@ Reliability layers (see DESIGN.md "Runtime reliability"):
   deadlock (all live processors blocked in ``recv`` with an empty
   in-flight set) instantly and reports it with a structured audit;
 * **fail-stop crashes** (``FaultPlan.crash_rate`` / ``crashes``) kill a
-  processor mid-program; a supervision loop in :meth:`Machine.run`
-  detects the death, rolls every processor back to its last
-  :mod:`~.checkpoint` snapshot, replays deterministically, and gives
-  up with a structured :class:`~.diagnostics.CrashError` once
-  ``max_restarts`` is spent.
+  processor mid-program; the scheduler restarts only that processor
+  from its last :mod:`~.checkpoint` snapshot, re-serves its messages
+  from the sender log, replays deterministically, and gives up with a
+  structured :class:`~.diagnostics.CrashError` once ``max_restarts``
+  is spent.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from .checkpoint import CheckpointPolicy, CheckpointStore
 from .diagnostics import (
     CrashError,
     CrashEvent,
+    CrashReport,
     DeadlockError,
     ProgressMonitor,
 )
@@ -93,7 +94,7 @@ class CostModel:
     #: storage by the checkpoint subsystem
     checkpoint_word_time: float = 2.0
     #: fixed cost of detecting a crash and restarting a processor
-    #: (failure-detector latency + reboot), charged once per rollback
+    #: (failure-detector latency + reboot), charged once per restart
     restart_penalty: float = 2000.0
     #: per-word cost of computing/verifying a payload checksum when
     #: self-checking transports are active; defaults to free so arming
@@ -131,7 +132,7 @@ class ProcStats:
     #: explicit ``Processor.tick`` charges
     tick_time: float = 0.0
     #: crash-recovery clock jumps applied to this processor (failure
-    #: detection + restart penalty + snapshot reload, per rollback)
+    #: detection + restart penalty + snapshot reload, per restart)
     recovery_time: float = 0.0
     # -- reliability-layer accounting (all zero on the default path) --------
     retransmissions: int = 0
@@ -288,16 +289,16 @@ class RunResult:
     makespan: float
     total_messages: int
     total_words: int
-    #: number of coordinated rollbacks the supervision loop performed
+    #: number of crashed ranks restarted from their last snapshot
     restarts: int = 0
-    #: model time spent recovering, summed over processors and rollbacks
-    #: (failure detection, restart penalty, snapshot reload, lost work)
+    #: model time spent recovering, summed over restarts (failure
+    #: detection, restart penalty, snapshot reload, lost work)
     recovery_time: float = 0.0
     #: checkpoints taken by the policy (the free pc=0 baseline excluded)
     checkpoints: int = 0
     #: every fail-stop crash observed, in order
     crash_events: List[CrashEvent] = field(default_factory=list)
-    #: snapshots rollback rejected because their digest no longer
+    #: snapshots recovery rejected because their digest no longer
     #: matched (storage corruption); recovery fell back to older cuts
     snapshots_rejected: int = 0
     #: per-processor finish clocks (``makespan`` is their max)
@@ -312,15 +313,12 @@ class RunResult:
     #: scheduler wakeups (coroutine resumes) across incarnations
     sched_wakeups: int = 0
     #: model time of completed work discarded by crashes: for every
-    #: rank a rollback rewound, the distance from its rollback cut to
-    #: the clock it had reached.  Global rollback pays this for all P
-    #: ranks per crash; local recovery only for the crashed one
+    #: restart, the distance from the crashed rank's cut to the clock
+    #: it had reached when it died
     work_wasted: float = 0.0
     #: high-water mark of the sender-side message log, in bytes
     #: (volatile sender memory held for localized recovery)
     log_bytes_peak: int = 0
-    #: the recovery mode this run executed under
-    recovery_mode: str = "global"
 
     @property
     def events_per_sec(self) -> float:
@@ -339,7 +337,7 @@ class Processor:
     Every node-program operation (compute, send, multicast, receive)
     advances ``_pc``, the processor's **loop cursor** -- a deterministic
     operation index the checkpoint subsystem uses as its snapshot
-    coordinate.  After a rollback the processor is rebuilt with
+    coordinate.  After a crash the processor is rebuilt with
     ``_ff_target`` set to its snapshot's cursor: operations up to the
     target are *fast-forwarded* (computes and sends are suppressed,
     receives are satisfied from the receive log), the snapshot is
@@ -360,7 +358,7 @@ class Processor:
         self.params: Dict[str, int] = dict(machine.params)
         self.pdims = machine.pshape
         self.clock = 0.0
-        # a standalone row by default; Machine.run/_rollback rebind it
+        # a standalone row by default; Machine.run/_local_recover rebind it
         # to the machine's shared StatsArray block (DESIGN.md §13)
         self.stats = ProcStatsView()
         self.mailbox = _LightMailbox()
@@ -830,7 +828,7 @@ class Processor:
         # the jump from the snapshot's clock to the resume clock is
         # recovery (failure detection + restart penalty + reload); with
         # it in a bucket, the time-decomposition identity -- stat
-        # buckets sum to the finish clock -- survives rollbacks
+        # buckets sum to the finish clock -- survives restarts
         self.stats.recovery_time += self._resume_clock - snap.clock
 
     def _maybe_crash(self, comm: bool = True) -> None:
@@ -883,8 +881,14 @@ class Machine:
     :class:`~.scheduler.Scheduler`.  ``backend`` is accepted for
     existing callers only: ``"event"`` (the default) and ``"coop"``
     both name that engine, and ``"threads"`` is refused.  ``timeout``
-    is a wall-clock budget per incarnation (``4 * timeout`` seconds)
-    for node programs that never terminate.
+    is a wall-clock budget per run (``4 * timeout`` seconds) for node
+    programs that never terminate.
+
+    A fail-stop crash is recovered locally (:meth:`_local_recover`):
+    only the crashed rank restarts, and its messages are re-served
+    from the sender log.  ``recovery`` is accepted for existing
+    callers only: ``"local"`` is the default and the one mode; the
+    removed coordinated global rollback is refused.
     """
 
     def __init__(
@@ -905,7 +909,7 @@ class Machine:
         backend: str = "event",
         trace: Union[bool, TraceBuffer, None] = None,
         checksums: Optional[bool] = None,
-        recovery: str = "global",
+        recovery: str = "local",
         log_bytes_cap: Optional[int] = None,
     ):
         if backend == "threads":
@@ -917,10 +921,14 @@ class Machine:
             raise ValueError(
                 f"unknown backend {backend!r} (expected 'event')"
             )
-        if recovery not in ("global", "local"):
+        if recovery == "global":
             raise ValueError(
-                f"unknown recovery mode {recovery!r} "
-                f"(expected 'global' or 'local')"
+                "coordinated global rollback was removed: every crash "
+                "is recovered locally from the sender log (omit recovery=)"
+            )
+        if recovery != "local":
+            raise ValueError(
+                f"unknown recovery mode {recovery!r} (expected 'local')"
             )
         #: event trace: None (off, the default -- observably free),
         #: True (allocate a fresh buffer), or a caller-owned TraceBuffer
@@ -956,9 +964,7 @@ class Machine:
         #: every successful mailbox delivery, so parked coroutines are
         #: flagged for wakeup instead of polled
         self._delivery_watcher: Optional[Callable] = None
-        #: scheduler wakeups accumulated across incarnations; StatsArray
-        #: block for the current run
-        self._sched_wakeups = 0
+        #: StatsArray block for the current run
         self._stats_block: Optional[StatsArray] = None
         self.cost = cost or CostModel()
         self.timeout = timeout
@@ -982,10 +988,6 @@ class Machine:
             self.transport.checksummed = True
         self.checkpoint_policy = checkpoint
         self.max_restarts = max_restarts
-        #: recovery discipline after a fail-stop crash: "global" rolls
-        #: every rank back to its cut (PR 3); "local" restarts only the
-        #: crashed rank, re-serving its messages from the sender log
-        self.recovery = recovery
         #: optional per-channel cap (bytes) on the sender message log;
         #: exceeding it raises a structured LogOverflowError
         self.log_bytes_cap = log_bytes_cap
@@ -993,8 +995,7 @@ class Machine:
         #: the default path so checkpointing costs nothing when unused
         self.checkpoints: Optional[CheckpointStore] = None
         self._fired_crashes: set = set()
-        # supervision counters, machine-level so both the run() loop
-        # (global) and _local_recover (local) accumulate into them
+        # supervision counters, accumulated by _local_recover
         self._restarts = 0
         self._recovery_time = 0.0
         self._work_wasted = 0.0
@@ -1062,7 +1063,7 @@ class Machine:
         return self._canon.get(rank, rank)
 
     def make_envelope(
-        self, src, seq, tag, payload, arrival, sender_pc=0, checksum=None
+        self, src, seq, tag, payload, arrival, checksum=None
     ) -> Envelope:
         """One wire envelope, drawn from the recycling pool."""
         pool = self._envelope_pool
@@ -1073,10 +1074,9 @@ class Machine:
             env.tag = tag
             env.payload = payload
             env.arrival = arrival
-            env.sender_pc = sender_pc
             env.checksum = checksum
             return env
-        return Envelope(src, seq, tag, payload, arrival, sender_pc, checksum)
+        return Envelope(src, seq, tag, payload, arrival, checksum)
 
     def recycle_envelope(self, envelope: Envelope) -> None:
         """Return a consumed envelope shell to the pool.  Callers
@@ -1208,51 +1208,16 @@ class Machine:
         self._recovery_time = 0.0
         self._work_wasted = 0.0
         self._crash_events = []
-        self._sched_wakeups = 0
         wall_start = time.perf_counter()
-        while True:
-            scheduler = Scheduler(self)
-            failures = scheduler.run(node_fn)
-            self._sched_wakeups += scheduler.steps
-            crashes = [
-                exc for _, exc in failures
-                if isinstance(exc, ProcessorCrashed)
-            ]
-            if not crashes:
-                self._raise_failures(failures)
-                break
-            if self.recovery == "local":
-                # every crash was already recorded (and, budget and
-                # store permitting, recovered in place) by
-                # _local_recover; one surfacing here means the restart
-                # budget is spent or there is no store
-                report = self._build_crash_report(
-                    self._crash_events, self._restarts
-                )
-                dead = ", ".join(str(myp) for myp in report.dead)
-                raise CrashError(
-                    f"local recovery gave up after {self._restarts} "
-                    f"restart(s) (budget {self.max_restarts}); dead "
-                    f"processor(s): {dead}",
-                    report=report,
-                )
-            events = [self._record_crash(exc) for exc in crashes]
-            if (
-                self.checkpoints is None
-                or self._restarts >= self.max_restarts
-            ):
-                report = self._build_crash_report(
-                    self._crash_events, self._restarts
-                )
-                dead = ", ".join(str(myp) for myp in report.dead)
-                raise CrashError(
-                    f"crash recovery gave up after {self._restarts} "
-                    f"restart(s) (budget {self.max_restarts}); dead "
-                    f"processor(s): {dead}",
-                    report=report,
-                )
-            self._restarts += 1
-            self._recovery_time += self._rollback(events, self._restarts)
+        scheduler = Scheduler(self)
+        failures = scheduler.run(node_fn)
+        if any(isinstance(exc, ProcessorCrashed) for _, exc in failures):
+            # every crash was already recorded (and, budget and store
+            # permitting, recovered in place) by _local_recover; one
+            # surfacing here means the restart budget is spent or there
+            # is no store
+            self._raise_crash_error()
+        self._raise_failures(failures)
 
         wall_seconds = time.perf_counter() - wall_start
         store = self.checkpoints
@@ -1272,16 +1237,14 @@ class Machine:
             trace=self.trace,
             wall_seconds=wall_seconds,
             sim_events=sum(proc._pc for proc in self.procs.values()),
-            sched_wakeups=self._sched_wakeups,
+            sched_wakeups=scheduler.steps,
             work_wasted=self._work_wasted,
             log_bytes_peak=store.log.bytes_peak if store else 0,
-            recovery_mode=self.recovery,
         )
 
-    def _record_crash(self, exc: ProcessorCrashed) -> CrashEvent:
+    def _record_crash(self, exc: ProcessorCrashed) -> None:
         """Append one observed crash to the run's event list and emit
-        its trace marker.  Called by the global supervision loop and by
-        :meth:`_local_recover`."""
+        its trace marker.  Called by :meth:`_local_recover`."""
         event = CrashEvent(
             myp=exc.myp,
             model_time=exc.model_time,
@@ -1296,98 +1259,13 @@ class Machine:
                 start=event.model_time, end=event.model_time,
                 incarnation=event.incarnation, note=event.cause,
             ))
-        return event
-
-    def _rollback(
-        self, events: List[CrashEvent], incarnation: int
-    ) -> float:
-        """Coordinated rollback: rebuild every processor from its last
-        snapshot, re-inject cross-cut messages, charge recovery costs.
-
-        Returns the model time added to the critical path by this
-        rollback (lost work is re-executed and re-charged by the
-        replay itself; this accounts detection + restart + reload)."""
-        store = self.checkpoints
-        assert store is not None
-        crash_time = max(event.model_time for event in events)
-        # verify every rank's snapshot digest *before* log truncation
-        # and re-injection: a rotten snapshot is rejected and its rank
-        # falls back to an older cut, and the rest of the rollback must
-        # be computed against the surviving cuts
-        for myp in self.procs:
-            _snap, rejected = store.resolve_valid(myp)
-            for bad in rejected:
-                if self.trace is not None:
-                    self.trace.emit(TraceEvent(
-                        kind="snapshot-corrupt", rank=myp,
-                        start=crash_time, end=crash_time,
-                        incarnation=incarnation,
-                        note=(
-                            f"snapshot at op {bad.pc} (ordinal "
-                            f"{bad.ordinal}) failed digest verification"
-                        ),
-                    ))
-        store.truncate_recv_logs()
-        self._scrub_pools()
-        cost = self.cost
-        recovered = 0.0
-        fresh: Dict[Tuple[int, ...], Processor] = {}
-        for myp, old in self.procs.items():
-            snap = store.snapshots[myp]
-            # everything this rank computed past its cut is discarded
-            # and will be re-executed: the O(P) cost of a coordinated
-            # rollback that localized recovery avoids
-            self._work_wasted += max(0.0, old.clock - snap.clock)
-            # nobody resumes before the failure was detected; everyone
-            # pays the restart penalty and the snapshot reload
-            resume = (
-                max(snap.clock, crash_time)
-                + cost.restart_penalty
-                + cost.checkpoint_word_time * snap.words
-            )
-            recovered += resume - snap.clock
-            if self.trace is not None:
-                self.trace.emit(TraceEvent(
-                    kind="restart", rank=myp, start=snap.clock, end=resume,
-                    incarnation=incarnation,
-                    note=f"rollback to op {snap.pc}",
-                ))
-            proc = Processor(
-                self,
-                myp,
-                {name: arr.copy() for name, arr in snap.arrays.items()},
-            )
-            # reuse the rank's block row: a fresh incarnation starts
-            # from zero stats, then the replay's _restore loads the
-            # snapshot's counters over it
-            proc.stats = self._stats_block.view(self.rank_id[myp])
-            proc.stats.reset()
-            proc._incarnation = incarnation
-            proc._ff_target = snap.pc
-            proc._resume_clock = resume
-            if snap.pc == 0:
-                # no fast-forward will run, so apply the snapshot now
-                proc._restore()
-            fresh[myp] = proc
-        self.procs = fresh
-        self.monitor.reset(total=len(fresh))
-        for myp in fresh:
-            for rec in store.reinjections(myp):
-                self.monitor.deliver_envelope(
-                    myp,
-                    Envelope(
-                        rec.src, rec.seq, rec.tag, copy_payload(rec.payload),
-                        rec.arrival, rec.sender_pc, rec.checksum,
-                    ),
-                )
-        return recovered
 
     def _local_recover(
         self, exc: ProcessorCrashed
     ) -> Optional[Processor]:
         """Localized recovery: restart only the crashed rank.
 
-        Built on sender-based message logging (DESIGN.md §14): every
+        Built on sender-based message logging (DESIGN.md §9): every
         delivery was logged -- payload plus determinants (src, seq,
         per-receiver delivery order) -- in volatile sender memory, so
         the crashed rank can be restored from its own latest
@@ -1453,12 +1331,12 @@ class Machine:
         # re-serve the sender-logged messages it still needs, in
         # recorded delivery order
         self.monitor.replace_proc(myp, proc)
-        for rec in store.local_reinjections(myp):
+        for rec in store.reinjections(myp):
             self.monitor.deliver_envelope(
                 myp,
                 Envelope(
                     rec.src, rec.seq, rec.tag, copy_payload(rec.payload),
-                    rec.arrival, rec.sender_pc, rec.checksum,
+                    rec.arrival, rec.checksum,
                 ),
             )
         if snap.pc == 0:
@@ -1470,7 +1348,7 @@ class Machine:
         """Evict any envelope shell that still holds a payload from the
         recycling pool (pool hygiene across incarnations).  Correct
         recycling always nulls the payload first, so this is a
-        defensive invariant sweep on the crash paths: a shell recycled
+        defensive invariant sweep on the crash path: a shell recycled
         live can never re-serve a dead incarnation's stale words."""
         pool = self._envelope_pool
         if pool:
@@ -1478,18 +1356,22 @@ class Machine:
             if len(live) != len(pool):
                 pool[:] = live
 
-    def _build_crash_report(
-        self, events: List[CrashEvent], restarts: int
-    ) -> "CrashReport":
-        from .diagnostics import CrashReport
-
+    def _raise_crash_error(self) -> None:
+        """Give up: raise :class:`CrashError` with the run's post-mortem."""
         store = self.checkpoints
-        return CrashReport(
-            events=list(events),
-            restarts_attempted=restarts,
+        report = CrashReport(
+            events=list(self._crash_events),
+            restarts_attempted=self._restarts,
             max_restarts=self.max_restarts,
             checkpoints=store.checkpoint_positions() if store else {},
             checkpoints_taken=store.checkpoints_taken if store else 0,
+        )
+        dead = ", ".join(str(myp) for myp in report.dead)
+        raise CrashError(
+            f"crash recovery gave up after {self._restarts} "
+            f"restart(s) (budget {self.max_restarts}); dead "
+            f"processor(s): {dead}",
+            report=report,
         )
 
     def _raise_failures(

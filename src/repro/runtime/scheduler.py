@@ -45,7 +45,7 @@ _START = object()
 
 
 class Scheduler:
-    """Run one machine incarnation as coroutines on the current thread."""
+    """Run one machine as coroutines on the current thread."""
 
     def __init__(self, machine) -> None:
         self.machine = machine
@@ -76,8 +76,6 @@ class Scheduler:
         heap = self._heap
         for myp in machine.rank_order:
             gens[myp] = node_fn(procs[myp])
-            # after a rollback the resume clock is nonzero, so seed
-            # with the live clock rather than assuming zero
             heap.append((procs[myp].clock, myp, _START))
         heapq.heapify(heap)
         machine._delivery_watcher = self._on_delivery
@@ -163,20 +161,17 @@ class Scheduler:
     def _recover_local(self, myp: Tuple[int, ...], exc) -> bool:
         """Localized recovery: restart only the crashed rank.
 
-        Under ``recovery="local"`` the machine restores ``myp`` from
-        its own latest valid snapshot (live ranks are untouched),
-        re-injects the sender-logged messages it still needs, and
-        hands back a fresh :class:`~.machine.Processor`.  The crashed
-        rank's coroutine is re-instantiated and seeded runnable; its
-        checkpoint fast-forward replay then runs entirely inside its
-        next ``_step``.  Returns False when local recovery does not
-        apply (global mode, no checkpoint store, restart budget
-        exhausted) -- the caller falls through to the fail path.
+        The machine restores ``myp`` from its own latest valid snapshot
+        (live ranks are untouched), re-injects the sender-logged
+        messages it still needs, and hands back a fresh
+        :class:`~.machine.Processor`.  The crashed rank's coroutine is
+        re-instantiated and seeded runnable; its checkpoint
+        fast-forward replay then runs entirely inside its next
+        ``_step``.  Returns False when recovery cannot proceed (no
+        checkpoint store, restart budget exhausted) -- the caller falls
+        through to the fail path.
         """
-        machine = self.machine
-        if machine.recovery != "local":
-            return False
-        fresh = machine._local_recover(exc)
+        fresh = self.machine._local_recover(exc)
         if fresh is None:
             return False
         self.gens[myp] = self._node_fn(fresh)

@@ -69,10 +69,10 @@ Event kinds
                 and retransmits)
 ``stall``       a fault-injected transient processor stall
 ``checkpoint``  one snapshot (spans the ``checkpoint_word_time`` charge)
-``snapshot-corrupt`` marker: rollback rejected a snapshot whose digest
+``snapshot-corrupt`` marker: recovery rejected a snapshot whose digest
                 no longer verified and fell back to an older cut
-``crash``       marker: a fail-stop crash (from the supervision loop)
-``restart``     one coordinated rollback on one processor (spans the
+``crash``       marker: a fail-stop crash
+``restart``     one crashed processor's restart (spans the
                 recovery jump: detection + restart penalty + reload)
 ``tick``        an explicit ``Processor.tick`` (hand-written harnesses)
 ``reorg``       one (source, destination) leg of a collective

@@ -153,12 +153,7 @@ class Envelope:
 
     ``seq`` is ``None`` for transports without a reliability protocol;
     reliable envelopes carry a per-(src, dest) sequence number the
-    receiver uses for dedup.  ``sender_pc`` is the sending processor's
-    operation index at the send: the checkpoint subsystem's delivery
-    log uses it to decide, after a rollback, whether a restarted
-    sender will re-send this message live (the send lies past the
-    sender's snapshot) or whether the logged copy must be re-injected
-    (see :mod:`repro.runtime.checkpoint`).  ``checksum`` is the
+    receiver uses for dedup.  ``checksum`` is the
     BLAKE2b digest of the payload *as the sender computed it*; wire
     corruption flips words after the digest is taken, which is exactly
     how the receiver detects it.  ``None`` on unchecksummed paths.
@@ -169,7 +164,6 @@ class Envelope:
     tag: tuple
     payload: List[float]
     arrival: float
-    sender_pc: int = 0
     checksum: Optional[int] = None
 
     def verify(self) -> bool:
@@ -182,7 +176,7 @@ class Envelope:
 class LogOverflowError(TransportError):
     """A channel's sender-side message log exceeded its byte cap.
 
-    Sender-based message logging (``recovery="local"``) keeps every
+    Sender-based message logging (crash recovery) keeps every
     outgoing payload in volatile sender memory until the receiver's
     next checkpoint commit truncates it.  Under stall/reorder storms --
     or with checkpointing disabled -- that log would otherwise grow
@@ -210,7 +204,7 @@ class LogRecord:
     """One logical message retained in a sender-side log.
 
     Payload plus **determinants**: the source, the per-channel sequence
-    number, the sending operation index, and ``order`` -- the
+    number, and ``order`` -- the
     per-receiver delivery ordinal recorded when the first valid copy of
     the message entered the receiver's mailbox.  Local recovery
     re-serves logged messages to a restarted rank sorted by
@@ -222,7 +216,6 @@ class LogRecord:
     tag: tuple
     payload: List[float]
     arrival: float
-    sender_pc: int
     checksum: Optional[int] = None
     order: int = 0
 
@@ -288,7 +281,6 @@ class MessageLog:
             tag=envelope.tag,
             payload=copy_payload(envelope.payload),
             arrival=envelope.arrival,
-            sender_pc=envelope.sender_pc,
             checksum=envelope.checksum,
             order=order,
         )
@@ -445,7 +437,7 @@ class DirectTransport(Transport):
         machine.deliver(
             dest,
             machine.make_envelope(
-                proc.myp, seq, tag, wire, arrival, proc._pc, checksum
+                proc.myp, seq, tag, wire, arrival, checksum
             ),
         )
         machine.monitor.record_send(proc.myp, dest, tag, delivered=True)
@@ -467,7 +459,7 @@ class DirectTransport(Transport):
             machine.deliver(
                 dest,
                 machine.make_envelope(
-                    proc.myp, seq, tag, wire, arrival, proc._pc, checksum
+                    proc.myp, seq, tag, wire, arrival, checksum
                 ),
             )
             machine.monitor.record_send(proc.myp, dest, tag, delivered=True)
@@ -523,7 +515,7 @@ class UnreliableTransport(Transport):
         machine.deliver(
             dest,
             machine.make_envelope(
-                proc.myp, None, tag, payload, arrival, proc._pc
+                proc.myp, None, tag, payload, arrival
             ),
         )
         if plan.duplicates(proc.myp, dest, tag, 0):
@@ -534,7 +526,7 @@ class UnreliableTransport(Transport):
                 dest,
                 machine.make_envelope(
                     proc.myp, None, tag, machine.wire_copy(payload),
-                    arrival + machine.cost.latency, proc._pc,
+                    arrival + machine.cost.latency,
                 ),
             )
         machine.monitor.record_send(proc.myp, dest, tag, delivered=True)
@@ -676,7 +668,7 @@ class ReliableTransport(Transport):
                 machine.deliver(
                     dest,
                     machine.make_envelope(
-                        proc.myp, seq, tag, wire, arrival, proc._pc, checksum
+                        proc.myp, seq, tag, wire, arrival, checksum
                     ),
                 )
                 if not corrupted:
@@ -689,7 +681,7 @@ class ReliableTransport(Transport):
                             dest,
                             machine.make_envelope(
                                 proc.myp, seq, tag, machine.wire_copy(payload),
-                                arrival + cost.latency, proc._pc, checksum,
+                                arrival + cost.latency, checksum,
                             ),
                         )
                     ack_lost = plan is not None and plan.drops_ack(

@@ -31,9 +31,9 @@ def run_spmd(
     Every other keyword is a :class:`~.machine.Machine` option, with
     its default defined there: ``cost``; ``fault_plan`` /
     ``reliability`` / ``max_retries`` (reliability subsystem);
-    ``checkpoint`` / ``max_restarts`` / ``recovery`` /
-    ``log_bytes_cap`` (fail-stop crash tolerance: ``recovery="local"``
-    restarts only the crashed rank from the sender message log);
+    ``checkpoint`` / ``max_restarts`` / ``log_bytes_cap`` (fail-stop
+    crash tolerance: only the crashed rank restarts, fed from the
+    sender message log; ``recovery="local"`` names that one mode);
     ``checksums`` (self-checking transports; ``None`` = on exactly
     when the plan can corrupt); ``trace=True`` (typed event trace on
     ``RunResult.trace``, off by default and observably free);

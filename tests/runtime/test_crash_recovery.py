@@ -362,7 +362,9 @@ class TestTracedCrashRuns:
         assert same_arrays(base, res)
         counts = res.trace.counts()
         assert counts.get("crash", 0) == 1
-        assert counts.get("restart", 0) == len(res.stats)
+        # only the crashed rank restarts
+        assert counts.get("restart", 0) == 1
+        assert res.trace.by_kind("restart")[0].rank == (1,)
         assert counts.get("checkpoint", 0) == res.stat_sum("checkpoints")
 
     def test_tracing_does_not_change_crash_recovery(self):

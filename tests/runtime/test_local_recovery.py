@@ -1,9 +1,10 @@
 """Localized crash recovery: sender-based message logging end-to-end.
 
-The contract under test (ISSUE 8): with ``recovery="local"`` a crash
-rolls back **one rank** -- the crashed processor restarts from its own
-latest digest-valid snapshot while every live rank keeps executing,
-and the final arrays are still bit-identical to the fault-free oracle.
+The contract under test: a crash rolls back **one rank** -- the
+crashed processor restarts from its own latest digest-valid snapshot
+while every live rank keeps executing, and the final arrays are still
+bit-identical to the fault-free oracle.  This is the only recovery
+mode; the coordinated global rollback is refused.
 Live senders re-serve logged messages in the recorded delivery order;
 the crashed rank's duplicate re-sends are absorbed by the existing
 ARQ/stash dedup.
@@ -34,19 +35,16 @@ from tests.runtime.test_crash_recovery import (
 from tests.runtime.trace_workloads import BACKENDS, same_arrays
 
 
-def crash_run(spmd, params, plan, recovery="local", **kw):
+def crash_run(spmd, params, plan, **kw):
     kw.setdefault("checkpoint", CheckpointPolicy(every_ops=25))
     kw.setdefault("max_restarts", 10)
-    return run_spmd(
-        spmd, params, fault_plan=plan, recovery=recovery, **kw
-    )
+    return run_spmd(spmd, params, fault_plan=plan, **kw)
 
 
 class TestLocalRecoveryConformance:
     """All five conformance workloads x {scalar, vector} x both
-    ``backend=`` names: a mid-run crash under ``recovery="local"``
-    still produces the fault-free oracle's arrays bit for bit, and the
-    PR 5 trace invariants hold."""
+    ``backend=`` names: a mid-run crash still produces the fault-free
+    oracle's arrays bit for bit, and the PR 5 trace invariants hold."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("vectorize", [False, True],
@@ -70,23 +68,10 @@ class TestLocalRecoveryConformance:
         res = crash_run(
             spmd, scenario.params, plan, backend=backend, trace=True
         )
-        assert res.recovery_mode == "local"
         assert res.restarts == 1
         assert res.crash_events[0].myp == rank
         assert same_arrays(base, res)
         assert chaos._invariant_violation(res) is None
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_both_modes_agree_on_the_answer(self, backend):
-        spmd = fig2_spmd()
-        base = run_spmd(spmd, FIG2_PARAMS)
-        plan = FaultPlan(crashes={1: base.makespan / 2})
-        for mode in ("global", "local"):
-            res = crash_run(
-                spmd, FIG2_PARAMS, plan, backend=backend, recovery=mode
-            )
-            assert res.recovery_mode == mode
-            assert same_arrays(base, res)
 
     def test_recovery_accounting_is_repeatable(self):
         """Local recovery is deterministic: repeated runs report the
@@ -101,28 +86,52 @@ class TestLocalRecoveryConformance:
         assert len({r.log_bytes_peak for r in runs}) == 1
 
 
-class TestLocalBeatsGlobal:
-    """The headline: recovery cost ~O(1 rank) instead of O(P)."""
+class TestOneRankRecoveryCost:
+    """The headline: recovery cost ~O(1 rank), not O(P)."""
 
-    def test_local_wastes_less_work_than_global(self):
+    def test_live_ranks_never_re_execute(self):
+        """Every live rank computes exactly as often as in the
+        fault-free run, all in its first incarnation; only the crashed
+        rank re-executes the operations between its cut and the
+        crash."""
+        spmd = fig2_spmd()
+        base = run_spmd(spmd, FIG2_PARAMS, trace=True)
+        plan = FaultPlan(crashes={1: base.makespan / 2})
+        res = crash_run(spmd, FIG2_PARAMS, plan, trace=True)
+        assert same_arrays(base, res)
+
+        def computes(trace, rank):
+            return [e for e in trace.per_rank(rank) if e.kind == "compute"]
+
+        for rank in res.stats:
+            got = computes(res.trace, rank)
+            want = len(computes(base.trace, rank))
+            if rank == (1,):
+                assert len(got) > want
+                assert {e.incarnation for e in got} == {0, 1}
+            else:
+                assert len(got) == want
+                assert {e.incarnation for e in got} == {0}
+
+    def test_work_wasted_is_the_crashed_rank_cut_to_crash(self):
+        """work_wasted is exactly one rank's lost span: from the
+        restart event's snapshot clock to the crash instant."""
         spmd = fig2_spmd()
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(crashes={1: base.makespan / 2})
-        glob = crash_run(spmd, FIG2_PARAMS, plan, recovery="global")
-        loc = crash_run(spmd, FIG2_PARAMS, plan, recovery="local")
-        assert same_arrays(base, glob) and same_arrays(base, loc)
-        # global rewinds every rank; local rewinds exactly one
-        assert glob.work_wasted > 0 and loc.work_wasted > 0
-        assert loc.work_wasted < glob.work_wasted
-        assert loc.recovery_time < glob.recovery_time
-        # the sender log is live only when a store exists; a crash run
-        # under local mode must have logged something
-        assert loc.log_bytes_peak > 0
+        res = crash_run(spmd, FIG2_PARAMS, plan, trace=True)
+        (crash,) = res.crash_events
+        (restart,) = res.trace.by_kind("restart")
+        assert restart.rank == crash.myp == (1,)
+        assert res.work_wasted == crash.model_time - restart.start > 0
+        assert res.recovery_time == restart.duration
+        assert restart.end >= crash.model_time + CostModel().restart_penalty
+        assert res.log_bytes_peak > 0
 
-    def test_fault_free_run_reports_global_defaults(self):
+    def test_fault_free_run_reports_zero_recovery_cost(self):
         res = run_spmd(fig2_spmd(), FIG2_PARAMS)
-        assert res.recovery_mode == "global"
         assert res.work_wasted == 0.0
+        assert res.recovery_time == 0.0
         assert res.log_bytes_peak == 0
 
     def test_recovery_mode_validated(self):
@@ -130,6 +139,17 @@ class TestLocalBeatsGlobal:
         with pytest.raises(ValueError):
             Machine(spmd.program, spmd.space, FIG2_PARAMS,
                     recovery="quantum")
+
+    def test_global_recovery_is_refused(self):
+        spmd = fig2_spmd()
+        with pytest.raises(ValueError, match="global rollback was removed"):
+            Machine(spmd.program, spmd.space, FIG2_PARAMS,
+                    recovery="global")
+        with pytest.raises(ValueError, match="global rollback was removed"):
+            run_spmd(spmd, FIG2_PARAMS, recovery="global")
+        # the one accepted spelling names the default
+        res = run_spmd(spmd, FIG2_PARAMS, recovery="local")
+        assert same_arrays(run_spmd(spmd, FIG2_PARAMS), res)
 
 
 class TestCrashDuringRecovery:
@@ -185,7 +205,8 @@ class TestCrashDuringRecovery:
                 checkpoint=CheckpointPolicy(every_ops=10),
                 max_restarts=2,
             )
-        assert "local recovery gave up" in str(info.value)
+        assert "crash recovery gave up" in str(info.value)
+        assert info.value.report.restarts_attempted == 2
 
 
 PROGRAMS = {
@@ -310,8 +331,7 @@ class TestPoolIntegrity:
     could re-serve stale words."""
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("recovery", ["global", "local"])
-    def test_pool_holds_no_payloads_after_crash(self, recovery, backend):
+    def test_pool_holds_no_payloads_after_crash(self, backend):
         spmd = fig2_spmd()
         base = run_spmd(spmd, FIG2_PARAMS)
         plan = FaultPlan(crashes={1: base.makespan / 2})
@@ -321,7 +341,6 @@ class TestPoolIntegrity:
             checkpoint=CheckpointPolicy(every_ops=25),
             max_restarts=10,
             backend=backend,
-            recovery=recovery,
         )
         res = machine.run(spmd.node)
         assert res.restarts == 1
@@ -336,16 +355,16 @@ class TestPoolIntegrity:
 
 
 class TestChaosCrashTrials:
-    """The chaos harness explores crash schedules under both recovery
-    modes and can replay them from JSON reproducers."""
+    """The chaos harness explores crash schedules and can replay them
+    from JSON reproducers."""
 
-    def test_explore_covers_both_modes_cleanly(self):
+    def test_explore_runs_each_crash_trial_once(self):
         rep = chaos.explore(
             workloads=["fig2"], seeds=0, targeted=False,
         )
         assert rep.ok
-        # 2 ranks x 2 fractions x 2 modes
-        assert rep.trials == 8
+        # 2 ranks x 2 fractions
+        assert rep.trials == 4
 
     def test_crash_reproducer_round_trips(self):
         scenario = chaos.WORKLOADS["fig2"]
@@ -353,21 +372,35 @@ class TestChaosCrashTrials:
         doc = chaos._make_reproducer(
             scenario, "reliable", plan,
             expected="oracle", observed="clean",
-            recovery="local", checkpoint=chaos._CRASH_POLICY,
+            checkpoint=chaos._CRASH_POLICY,
         )
         rebuilt = chaos.plan_from_json(doc["plan"])
         assert rebuilt.crashes == plan.crashes
-        assert doc["recovery"] == "local"
+        assert "recovery" not in doc
         policy = chaos._policy_from_json(doc["checkpoint"])
         assert policy == chaos._CRASH_POLICY
         reproduced, observed = chaos.replay_reproducer(doc)
         assert reproduced and observed == "clean"
 
-    def test_finding_describe_names_recovery_mode(self):
+    def test_old_global_reproducer_still_replays(self):
+        """Reproducers written before the one-mode change carry
+        ``"recovery": "global"`` (and a ``backend``); replay ignores
+        both and recovers the crash locally."""
+        scenario = chaos.WORKLOADS["fig2"]
+        doc = chaos._make_reproducer(
+            scenario, "reliable", FaultPlan(crashes={1: 1156.0}),
+            expected="oracle", observed="clean",
+            checkpoint=chaos._CRASH_POLICY,
+        )
+        doc.update(recovery="global", backend="threads")
+        reproduced, observed = chaos.replay_reproducer(doc)
+        assert reproduced and observed == "clean"
+
+    def test_finding_describe_names_scenario_and_transport(self):
         finding = chaos.ChaosFinding(
             scenario="fig2", transport="reliable",
             expected="oracle", observed="array-mismatch",
             plan=FaultPlan(crashes={0: 100.0}), events=1,
-            reproducer={}, recovery="local",
+            reproducer={},
         )
-        assert "local" in finding.describe()
+        assert finding.describe().startswith("fig2 [reliable] expected")

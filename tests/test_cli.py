@@ -67,6 +67,31 @@ class TestCLI:
                 main(argv)
             assert info.value.code == 2
 
+    def test_recovery_mode_flag_is_gone(self, program_file):
+        """One crash-recovery mode: neither run nor chaos takes
+        --recovery-mode."""
+        for argv in (
+            ["run", program_file, "--block", "i=32", "-D", "N=70",
+             "-D", "T=1", "-D", "P=3", "--recovery-mode", "local"],
+            ["chaos", "--workload", "fig2", "--recovery-mode", "both"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+
+    def test_run_crash_restarts_only_the_crashed_rank(
+        self, program_file, capsys
+    ):
+        assert main(
+            ["run", program_file, "--block", "i=32", "-D", "N=70",
+             "-D", "T=2", "-D", "P=3", "--crash-at", "1@1500",
+             "--checkpoint-every-ops", "20"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "validated against sequential execution: OK" in out
+        assert "resilience: 1 crash(es), 1 restart(s)" in out
+        assert "sender message log peak" in out
+
     def test_compile_poly_stats(self, program_file, capsys):
         assert (
             main(
