@@ -124,8 +124,7 @@ def build_plan(
             content_vars=_present(cs, content),
         )
     else:
-        k = cs.level if not cs.loop_independent else cs.level
-        k = max(1, k)
+        k = max(1, cs.level)
         outer_s = cs.send_iter_vars[: k - 1]
         inner_s = cs.send_iter_vars[k - 1 :]
         outer_r = cs.recv_iter_vars[: k - 1]

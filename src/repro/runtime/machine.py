@@ -382,6 +382,15 @@ class Processor:
         self._next_cp_time = (
             interval if interval is not None else float("inf")
         )
+        plan = machine.fault_plan
+        #: this rank's scheduled crash time, resolved once per
+        #: incarnation; None when there is none or it already fired (a
+        #: restarted rank does not re-die at the same scheduled instant)
+        self._crash_at = (
+            plan.scheduled_crash(myp)
+            if plan is not None and myp not in machine._fired_crashes
+            else None
+        )
 
     # -- node program API ---------------------------------------------------
 
@@ -429,42 +438,86 @@ class Processor:
         env: Dict[str, int],
         step: int = 1,
     ) -> None:
-        """Execute ``stmt`` for ``var`` = lo, lo+step, ..., <= hi as one
-        numpy gather-compute-scatter over the whole range.
+        """Execute ``stmt`` for ``var`` = lo, lo+step, ..., <= hi as numpy
+        gather-compute-scatter *segments*.
 
         The emitter only issues this call for loops it proved free of
-        read-after-write hazards along ``var`` (see DESIGN.md §10), so a
-        single gather of every read followed by a single scatter of every
-        write is element-for-element identical to the ascending scalar
-        loop.  Flops, ``compute_time`` and the Lamport clock are charged
-        in closed form; the per-op charge is integral for every shipped
-        cost model, so ``n`` float additions and one multiply-add agree
-        bit-for-bit (both stay on exactly representable values).
+        read-after-write hazards along ``var`` (see DESIGN.md §10).  That
+        proof holds on every contiguous sub-range too, so each segment
+        is element-for-element identical to the ascending scalar loop,
+        and the state between two segments -- what a checkpoint
+        snapshots mid-block -- is the scalar state after the same
+        operations.
 
-        Falls back to the scalar per-op loop whenever per-op granularity
-        is observable -- an active checkpoint store or crash plan (both
-        key on ``_pc``), fast-forward replay -- when the block is too
-        small to win, or when the statement's ``fn`` is not vector-safe
-        (``Statement.vector_fn`` hook, probed once and cached).
+        A segment ends at the next operation whose per-op bookkeeping is
+        observable, where :meth:`_after_op` runs as on the scalar path:
+        the fast-forward replay cut (suppressed operations are skipped
+        in O(1), and :meth:`_advance` restores on the cut), a checkpoint
+        coming due, or this rank's scheduled crash time.  Random crash
+        draws, stalls and receive-log replay happen only at
+        communication calls, so a fault-free block is one segment.
+        Blocks shorter than 4, and statements whose ``fn`` is not
+        vector-safe (``Statement.vector_fn`` hook, probed once and
+        cached), run the scalar loop.
         """
         if hi < lo:
             return
-        machine = self.machine
-        plan = machine.fault_plan
         n = (hi - lo) // step + 1
-        if (
-            n < 4
-            or machine.checkpoints is not None
-            or (plan is not None and plan.any_crash_faults)
-            or self._pc < self._ff_target
-            or not self._vector_safe(stmt, var, lo, step, env)
-        ):
+        if n < 4 or not self._vector_safe(stmt, var, lo, step, env):
             for v in range(lo, hi + 1, step):
                 env[var] = v
                 self.execute_stmt(stmt, env)
             return
+        skip = min(n, self._ff_target - self._pc)
+        if skip > 0:
+            self._pc += skip - 1
+            self._advance()
+            lo += skip * step
+        cost = (1 + len(stmt.reads)) * self.machine.cost.flop_time
+        while lo <= hi:
+            # count the segment's first operation, then run its pre-op
+            # crash check; inside a segment nothing moves the clock
+            # between operations, so each later pre-check equals the
+            # previous operation's post-check, done once in _after_op
+            self._pc += 1
+            self._maybe_crash(comm=False)
+            k = self._segment_ops(cost, (hi - lo) // step + 1)
+            self._pc += k - 1
+            self._compute_span(stmt, var, lo, k, step, env, cost)
+            lo += k * step
+            self._after_op()
+
+    def _segment_ops(self, cost: float, limit: int) -> int:
+        """How many of the next ``limit`` compute operations, each
+        charged ``cost``, run up to and including the first whose
+        post-op bookkeeping takes a checkpoint or fires this rank's
+        scheduled crash.  The cursor already counts the first one."""
+        k = limit
+        store = self.machine.checkpoints
+        if store is not None and store.policy.every_ops is not None:
+            every = store.policy.every_ops
+            k = min(k, every - (self._pc - 1) % every)
+        deadline = self._next_cp_time
+        if self._crash_at is not None and self._crash_at < deadline:
+            deadline = self._crash_at
+        if deadline == float("inf"):
+            return k
+        # walk the clock as the charge advances it, so the crossing
+        # is the operation the scalar path would stop at
+        j = 1
+        clock = self.clock + cost
+        while j < k and clock < deadline:
+            clock += cost
+            j += 1
+        return j
+
+    def _compute_span(self, stmt, var, lo, n, step, env, cost) -> None:
+        """One vectorized segment: ``n`` iterations from ``lo``.  Flops,
+        ``compute_time`` and the clock are charged in closed form while
+        the sums stay exact integers, else per step in the scalar
+        path's float order."""
         venv = dict(env)
-        venv[var] = np.arange(lo, hi + 1, step)
+        venv[var] = np.arange(lo, lo + n * step, step)
         fn = stmt.vector_fn if callable(stmt.vector_fn) else stmt.fn
         arrays = self.arrays
         values = [
@@ -473,29 +526,31 @@ class Processor:
         arrays[stmt.lhs.array.name][stmt.lhs.evaluate(venv)] = fn(
             values, venv
         )
-        self._pc += n
-        flops = 1 + len(stmt.reads)
-        self.stats.flops += flops * n
-        cost = flops * machine.cost.flop_time
-        start = self.clock
-        if float(cost).is_integer():
-            total = cost * n
-            self.clock += total
-            self.stats.compute_time += total
-        else:  # fractional per-op cost: accumulate like the scalar path
-            clock = self.clock
-            ctime = self.stats.compute_time
+        stats = self.stats
+        stats.flops += (1 + len(stmt.reads)) * n
+        start = clock = self.clock
+        ctime = stats.compute_time
+        if (
+            float(cost).is_integer()
+            and clock.is_integer()
+            and ctime.is_integer()
+        ):
+            # n float additions of an integer to an integer stay exact,
+            # so one multiply-add agrees with them bit for bit
+            clock += cost * n
+            ctime += cost * n
+        else:  # accumulate in the scalar path's order
             for _ in range(n):
                 clock += cost
                 ctime += cost
-            self.clock = clock
-            self.stats.compute_time = ctime
-        trace = machine.trace
+        self.clock = clock
+        stats.compute_time = ctime
+        trace = self.machine.trace
         if trace is not None:
-            # one spanning event for the whole block: same decomposition
-            # as n scalar compute events, one record
+            # one spanning event per segment: same decomposition as n
+            # scalar compute events, one record
             trace.emit(TraceEvent(
-                kind="compute", rank=self.myp, start=start, end=self.clock,
+                kind="compute", rank=self.myp, start=start, end=clock,
                 stmt=stmt.name, count=n, incarnation=self._incarnation,
             ))
 
@@ -832,21 +887,23 @@ class Processor:
         self.stats.recovery_time += self._resume_clock - snap.clock
 
     def _maybe_crash(self, comm: bool = True) -> None:
-        """Fail-stop fault check, evaluated before each live operation."""
-        plan = self.machine.fault_plan
-        if plan is None or not plan.any_crash_faults:
-            return
-        self._check_scheduled(plan)
-        if comm and plan.crashes_at(self.myp, self._pc, self._incarnation):
-            raise ProcessorCrashed(
-                self.myp, self.clock, self._pc, self._incarnation, "random"
-            )
+        """Fail-stop fault check, evaluated before each live operation;
+        random crashes are drawn at communication calls only."""
+        if self._crash_at is not None:
+            self._check_scheduled()
+        if comm:
+            plan = self.machine.fault_plan
+            if plan is not None and plan.crashes_at(
+                self.myp, self._pc, self._incarnation
+            ):
+                raise ProcessorCrashed(
+                    self.myp, self.clock, self._pc, self._incarnation,
+                    "random",
+                )
 
-    def _check_scheduled(self, plan: FaultPlan) -> None:
-        when = plan.scheduled_crash(self.myp)
+    def _check_scheduled(self) -> None:
         if (
-            when is not None
-            and self.clock >= when
+            self.clock >= self._crash_at
             and self.machine._arm_crash(self.myp)
         ):
             raise ProcessorCrashed(
@@ -861,9 +918,8 @@ class Processor:
         # re-check the schedule *after* the op advanced the clock, so a
         # processor whose clock jumps past the deadline inside its last
         # few operations still dies (the op completes, then the crash)
-        plan = self.machine.fault_plan
-        if plan is not None and plan.crashes:
-            self._check_scheduled(plan)
+        if self._crash_at is not None:
+            self._check_scheduled()
 
 
 class Machine:

@@ -21,11 +21,13 @@ Design rules (load-bearing; the conformance suite pins them):
   scheduler's (clock, rank) order, so repeated runs, and runs on
   transports that must agree, produce equal normalized traces,
   mailbox-acceptance markers (``dup-drop``, ``corrupt-drop``) included.
-* **Vectorized blocks are single spanning events** (``count = n``):
-  the emitter's ``execute_block`` charges ``n`` iterations in closed
-  form, and the trace mirrors that as one ``compute`` event covering
-  the whole span, so scalar and vectorized traces decompose time
-  identically even though their event counts differ.
+* **Vectorized segments are single spanning events** (``count = n``):
+  the emitter's ``execute_block`` charges each segment's ``n``
+  iterations at once (a block is one segment unless a checkpoint,
+  scheduled crash or replay cut falls inside it), and the trace
+  mirrors that as one ``compute`` event covering the segment, so
+  scalar and vectorized traces decompose time identically even though
+  their event counts differ.
 
 Event kinds
 -----------
