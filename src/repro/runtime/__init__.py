@@ -5,9 +5,9 @@ Layered as a small distributed runtime:
 * :mod:`~repro.runtime.machine` -- processors, clocks, cost model;
 * :mod:`~repro.runtime.scheduler` -- the deterministic discrete-event
   scheduler that drives every run;
-* :mod:`~repro.runtime.transport` -- direct / unreliable / reliable /
-  onesided message transports (sequence numbers, ack/retransmit,
-  dedup, PGAS-style put/get windows with fences);
+* :mod:`~repro.runtime.transport` -- one message transport in four
+  modes, direct / unreliable / reliable / onesided (sequence numbers,
+  ack/retransmit, dedup, PGAS-style put/get windows with fences);
 * :mod:`~repro.runtime.faults` -- deterministic fault injection
   (network faults and fail-stop processor crashes);
 * :mod:`~repro.runtime.checkpoint` -- coordinated checkpoint/restart
@@ -63,16 +63,13 @@ from .scheduler import Scheduler
 from .trace import TraceBuffer, TraceEvent, match_messages
 from .transport import (
     CorruptionError,
-    DirectTransport,
     Envelope,
     LogOverflowError,
     LogRecord,
     MessageLog,
     OneSidedTransport,
-    ReliableTransport,
     Transport,
     TransportError,
-    UnreliableTransport,
     payload_checksum,
 )
 from .validate import check_against_sequential, run_spmd
@@ -94,7 +91,6 @@ __all__ = [
     "CrashReport",
     "DeadlockError",
     "DeadlockReport",
-    "DirectTransport",
     "Envelope",
     "FaultPlan",
     "LogOverflowError",
@@ -106,7 +102,6 @@ __all__ = [
     "Processor",
     "ProcessorCrashed",
     "ProgressMonitor",
-    "ReliableTransport",
     "ReorganizeError",
     "RunResult",
     "Scheduler",
@@ -114,7 +109,6 @@ __all__ = [
     "TraceEvent",
     "Transport",
     "TransportError",
-    "UnreliableTransport",
     "check_against_sequential",
     "comm_matrix",
     "critical_path",

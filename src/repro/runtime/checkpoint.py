@@ -235,10 +235,8 @@ class CheckpointStore:
                 tag: (copy_payload(payload), arrival)
                 for tag, (payload, arrival) in proc._stash.items()
             },
-            mc_cache={
-                tag: copy_payload(payload)
-                for tag, payload in proc._mc_cache.items()
-            },
+            # cached multicast payloads are read-only: share, not copy
+            mc_cache=dict(proc._mc_cache),
             next_cp_time=proc._next_cp_time,
             words=words,
             arq_rto=dict(proc._arq_rto),

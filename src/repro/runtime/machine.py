@@ -21,10 +21,11 @@ computation.
 
 Reliability layers (see DESIGN.md "Runtime reliability"):
 
-* messages travel through a pluggable :class:`~.transport.Transport`
-  (`direct` = the historical exactly-once channel, `unreliable` = a
-  fault-injected raw network, `reliable` = ack/retransmit ARQ that
-  survives the faults);
+* messages travel through one :class:`~.transport.Transport` whose
+  mode is fixed at construction (`direct` = the historical
+  exactly-once channel, `unreliable` = a fault-injected raw network,
+  `reliable` = ack/retransmit ARQ that survives the faults,
+  `onesided` = the same ARQ traced as puts);
 * faults come from a deterministic :class:`~.faults.FaultPlan`;
 * a central :class:`~.diagnostics.ProgressMonitor` detects true
   deadlock (all live processors blocked in ``recv`` with an empty
@@ -61,13 +62,11 @@ from .faults import FaultPlan, ProcessorCrashed
 from .scheduler import Scheduler
 from .trace import TraceBuffer, TraceEvent
 from .transport import (
+    MODES,
     CorruptionError,
-    DirectTransport,
     Envelope,
     OneSidedTransport,
-    ReliableTransport,
     Transport,
-    UnreliableTransport,
     copy_payload,
 )
 
@@ -687,7 +686,7 @@ class Processor:
         machine = self.machine
         machine.monitor.record_dequeued()
         if not envelope.verify():
-            if machine.transport.corrupt_is_drop:
+            if machine.transport.arq:
                 # ARQ: drop the rotten copy; the unacked sender times
                 # out and retransmits, so no state may change here
                 self.stats.corrupt_dropped += 1
@@ -787,6 +786,19 @@ class Processor:
         self._after_op()
         return payload
 
+    def _cache_mc(self, tag: tuple, payload) -> None:
+        """Keep a consumed ``recv_mc`` payload for the co-resident
+        virtual receivers that consume the same message.
+
+        Every one of them is handed this one object, so it is read-only
+        by contract; an ndarray payload is frozen here so a node program
+        that writes into it raises instead of corrupting its peers'
+        view.  Snapshots and restores can therefore share the cached
+        entries instead of copying them."""
+        if type(payload) is np.ndarray:
+            payload.setflags(write=False)
+        self._mc_cache[tag] = payload
+
     def _trace_mc_hit(self, tag: tuple) -> None:
         """Record a multicast-cache reuse (free: no message, no cost).
 
@@ -873,10 +885,7 @@ class Processor:
             tag: (copy_payload(payload), arrival)
             for tag, (payload, arrival) in snap.stash.items()
         }
-        self._mc_cache = {
-            tag: copy_payload(payload)
-            for tag, payload in snap.mc_cache.items()
-        }
+        self._mc_cache = dict(snap.mc_cache)
         self.stats.load(snap.stats)
         self._next_cp_time = snap.next_cp_time
         self.clock = self._resume_clock
@@ -930,8 +939,7 @@ class Machine:
     (and the zero-overhead direct channel otherwise); ``"direct"``,
     ``"reliable"``, ``"unreliable"`` and ``"onesided"`` force a
     specific transport (booleans are accepted: ``True`` = reliable,
-    ``False`` = raw).  An explicit ``transport`` instance overrides
-    the selection.
+    ``False`` = raw).
 
     Every run is driven by the one deterministic
     :class:`~.scheduler.Scheduler`.  ``backend`` is accepted for
@@ -959,7 +967,6 @@ class Machine:
         max_retries: int = 10,
         rto: Optional[float] = None,
         backoff: float = 2.0,
-        transport: Optional[Transport] = None,
         checkpoint: Optional[CheckpointPolicy] = None,
         max_restarts: int = 3,
         backend: str = "event",
@@ -1027,21 +1034,23 @@ class Machine:
         self.fault_plan = fault_plan
         self.procs: Dict[Tuple[int, ...], Processor] = {}
         self.monitor = ProgressMonitor(self)
-        self.transport = transport or self._select_transport(
-            reliability, max_retries, rto, backoff
-        )
         #: self-checking mode: None = auto (on exactly when the fault
-        #: plan can corrupt payloads or snapshots), or forced on/off.
-        #: The unreliable transport never checksums -- it exists to
-        #: demonstrate the silent failure mode.
+        #: plan can corrupt payloads or snapshots), or forced on/off
         if checksums is None:
             checksums = fault_plan is not None and (
                 fault_plan.any_corruption_faults
                 or fault_plan.any_checkpoint_corruption
             )
         self.checksums_enabled = bool(checksums)
-        if self.checksums_enabled and self.transport.name != "unreliable":
-            self.transport.checksummed = True
+        mode = self._select_transport(reliability)
+        options = dict(
+            checksums=self.checksums_enabled, max_retries=max_retries,
+            rto=rto, backoff=backoff,
+        )
+        self.transport: Transport = (
+            OneSidedTransport(fault_plan, **options) if mode == "onesided"
+            else Transport(mode, fault_plan, **options)
+        )
         self.checkpoint_policy = checkpoint
         self.max_restarts = max_restarts
         #: optional per-channel cap (bytes) on the sender message log;
@@ -1066,46 +1075,24 @@ class Machine:
         self._fired_crashes.add(myp)
         return True
 
-    def _select_transport(
-        self,
-        reliability: Union[str, bool, None],
-        max_retries: int,
-        rto: Optional[float],
-        backoff: float,
-    ) -> Transport:
+    def _select_transport(self, reliability: Union[str, bool, None]) -> str:
+        """The transport mode ``reliability`` names (see the class
+        docstring for the accepted spellings)."""
         if isinstance(reliability, bool):
             reliability = "reliable" if reliability else (
                 "unreliable" if self.fault_plan else "direct"
             )
         mode = reliability or "auto"
+        plan = self.fault_plan
         if mode == "auto":
-            if self.fault_plan is not None and (
-                self.fault_plan.any_network_faults
-            ):
-                mode = "reliable"
-            else:
-                mode = "direct"
-        if mode == "direct":
-            return DirectTransport(self.fault_plan)
-        if mode == "unreliable":
-            if self.fault_plan is None:
-                return DirectTransport()  # nothing to inject
-            return UnreliableTransport(self.fault_plan)
-        if mode == "reliable":
-            return ReliableTransport(
-                plan=self.fault_plan,
-                max_retries=max_retries,
-                rto=rto,
-                backoff=backoff,
-            )
-        if mode == "onesided":
-            return OneSidedTransport(
-                plan=self.fault_plan,
-                max_retries=max_retries,
-                rto=rto,
-                backoff=backoff,
-            )
-        raise ValueError(f"unknown reliability mode: {reliability!r}")
+            if plan is not None and plan.any_network_faults:
+                return "reliable"
+            return "direct"
+        if mode == "unreliable" and plan is None:
+            return "direct"  # nothing to inject
+        if mode not in MODES:
+            raise ValueError(f"unknown reliability mode: {reliability!r}")
+        return mode
 
     # -- per-message allocation discipline -----------------------------------
 

@@ -112,7 +112,7 @@ class Scheduler:
                 tag, mc, fenced = token
                 payload = proc._recv_finish(tag, fenced=fenced)
                 if mc:
-                    proc._mc_cache[tag] = payload
+                    proc._cache_mc(tag, payload)
                 request = gen.send(payload)
             while True:
                 kind, _src, tag = request
@@ -134,14 +134,14 @@ class Scheduler:
                 replayed = proc._recv_prologue(tag, fenced=fenced)
                 if replayed is not None:  # checkpoint fast-forward replay
                     if mc:
-                        proc._mc_cache[tag] = replayed
+                        proc._cache_mc(tag, replayed)
                     request = gen.send(replayed)
                     continue
                 self._pump_mailbox(proc)
                 if tag in proc._stash:
                     payload = proc._recv_finish(tag, fenced=fenced)
                     if mc:
-                        proc._mc_cache[tag] = payload
+                        proc._cache_mc(tag, payload)
                     request = gen.send(payload)
                     continue
                 # park: the monitor's block() runs the deadlock test

@@ -2,24 +2,24 @@
 
 The paper's node programs target the iPSC/860 message layer, which
 guarantees reliable, ordered delivery; ``Processor.send/recv`` used to
-hard-code that assumption.  This module extracts the policy into
-pluggable transports so the same generated SPMD code runs over three
-substrates:
+hard-code that assumption.  This module extracts the policy into one
+:class:`Transport` whose reliability mode is fixed at construction, so
+the same generated SPMD code runs over four substrates:
 
-:class:`DirectTransport`
+``direct``
     The historical behaviour, bit-for-bit: every send is delivered
     exactly once with the LogGP cost accounting the simulator has
     always charged.  The default; adds **zero** overhead or behaviour
     change when no faults are configured.
 
-:class:`UnreliableTransport`
+``unreliable``
     A raw faulty network driven by a :class:`~.faults.FaultPlan`:
     sends may be dropped, duplicated or delayed with **no** recovery.
     Exists to demonstrate what the generated code's assumptions cost on
     real hardware -- lost messages surface as instant, fully diagnosed
     deadlocks via :mod:`repro.runtime.diagnostics`.
 
-:class:`ReliableTransport`
+``reliable``
     A stop-and-wait ARQ in the style of every real reliable layer:
     per-channel **sequence numbers**, positive acknowledgements,
     **retransmission** on timeout with exponential backoff and a retry
@@ -29,6 +29,14 @@ substrates:
     the full per-message cost and each timeout stalls the sender by the
     current RTO -- so benchmarks can quantify the price of reliability
     (``benchmarks/bench_fault_overhead.py``).
+
+``onesided``
+    The reliable ARQ with ``put`` as the send verb and a fence/get
+    window API (:class:`OneSidedTransport`, DESIGN.md §16).
+
+All four run one send path: a send or multicast charges the startup
+once and runs one per-destination attempt loop; without ARQ that loop
+makes a single attempt.
 
 Determinism: fault decisions come from the :class:`~.faults.FaultPlan`
 hash stream, and recovery is simulated *synchronously inside the
@@ -40,18 +48,18 @@ injects payload corruption, transports become **self-checking** --
 every message carries a BLAKE2b checksum of its payload, computed at
 send and verified at delivery:
 
-* the **reliable** transport treats a checksum mismatch exactly like a
-  drop: the receiver discards the corrupted copy *before* it can touch
-  the dedup state or the stash (and before the delivery log records
-  it), the sender -- which consults the same deterministic plan --
-  never sees an acknowledgement, waits out the RTO and retransmits,
-  all charged to the cost model;
-* the **direct** transport has no retransmission protocol, so a
+* the **ARQ** modes (reliable, onesided) treat a checksum mismatch
+  exactly like a drop: the receiver discards the corrupted copy
+  *before* it can touch the dedup state or the stash (and before the
+  delivery log records it), the sender -- which consults the same
+  deterministic plan -- never sees an acknowledgement, waits out the
+  RTO and retransmits, all charged to the cost model;
+* the **direct** mode has no retransmission protocol, so a
   verification failure surfaces as a structured
   :class:`CorruptionError` carrying the receiving processor's
   coordinates and the message's provenance (sender, tag, channel
   ordinal);
-* the **unreliable** transport never checksums -- it exists to show
+* the **unreliable** mode never checksums -- it exists to show
   what the generated code's assumptions cost on raw hardware, and
   silent corruption is precisely that demonstration.
 
@@ -75,16 +83,13 @@ from .trace import TraceEvent
 
 __all__ = [
     "CorruptionError",
-    "DirectTransport",
     "Envelope",
     "LogOverflowError",
     "LogRecord",
     "MessageLog",
     "OneSidedTransport",
-    "ReliableTransport",
     "Transport",
     "TransportError",
-    "UnreliableTransport",
     "copy_payload",
     "payload_checksum",
 ]
@@ -128,7 +133,7 @@ class TransportError(Exception):
 class CorruptionError(TransportError):
     """A delivered payload failed checksum verification.
 
-    Raised by transports with no retransmission protocol (direct): the
+    Raised in the mode with no retransmission protocol (direct): the
     corruption cannot be recovered, so it is surfaced as a structured
     diagnostic instead of silently poisoning the arrays.  Carries the
     receiving processor's coordinates and the message's provenance.
@@ -315,71 +320,284 @@ class MessageLog:
         return dropped
 
 
-class Transport:
-    """Base class: charge the sender, hand envelopes to the machine."""
+#: the reliability modes a :class:`Transport` is built from
+MODES = ("direct", "unreliable", "reliable", "onesided")
 
-    #: printable name, used by the CLI and reports
-    name = "abstract"
+
+class Transport:
+    """The one transport: every mode shares one send path.
+
+    ``mode`` (one of :data:`MODES`) is fixed at construction as three
+    fields:
+
+    ==============  =====  =====  ===============================
+    mode            arq    lossy  checksummed
+    ==============  =====  =====  ===============================
+    ``direct``      no     no     when checksums are enabled
+    ``unreliable``  no     yes    never
+    ``reliable``    yes    yes    when checksums are enabled
+    ``onesided``    yes    yes    when checksums are enabled
+    ==============  =====  =====  ===============================
+
+    ``arq`` numbers every message per channel, retransmits until an
+    attempt is delivered and acknowledged, dedups at the receiver and
+    treats a corrupt copy as a drop: the receiver discards it before it
+    can touch dedup state (``Processor._recv_accept``), so the sender
+    sees no acknowledgement, waits out the RTO and retransmits.
+    Without ARQ a send is a single attempt and a checksum mismatch
+    raises :class:`CorruptionError` at the receiver.
+
+    ``lossy`` applies the fault plan's drop, duplicate, delay and
+    ack-loss decisions (it is off without a plan); ``direct`` applies
+    only the plan's corruption.
+
+    ``rto`` is the base retransmission timeout in model-time units;
+    when ``None`` it is derived from the machine's cost model as one
+    full round trip (``2*latency + recv_overhead + alpha``).  Each
+    failed attempt stalls the sender by the current RTO and multiplies
+    it by ``backoff``; after ``max_retries`` retransmissions without an
+    acknowledged delivery the sender raises :class:`TransportError`.
+
+    The timer is **adaptive per channel**: each (sender, destination)
+    pair remembers its last RTO.  A message that needed
+    retransmissions leaves the channel's timer inflated, so the next
+    message on a congested/lossy channel does not burn the full
+    exponential ramp again; a clean first-attempt acknowledgement
+    decays the timer halfway back toward the base.  The timer never
+    exceeds ``base * backoff**max_retries`` -- the value a fixed
+    scheme would reach at the retry cap -- and never falls below the
+    base, and every wait is charged to the cost model and traced as a
+    ``timeout`` event, so the makespan decomposition stays exhaustive.
+    The per-channel state lives on the sending processor and is
+    checkpointed with it, keeping post-recovery timing
+    bit-reproducible.
+    """
 
     #: trace kind stamped on a first-attempt transmission ("send" for
-    #: the two-sided transports; the one-sided transport overrides it
-    #: to "put" so traces show the programming model without changing
+    #: the two-sided modes; the one-sided transport overrides it to
+    #: "put" so traces show the programming model without changing
     #: any timing -- retransmissions keep the "retransmit" kind)
     SEND_KIND = "send"
 
-    #: set by the machine when the fault plan can corrupt payloads (or
-    #: the user forces it): senders stamp a checksum on every envelope
-    #: and receivers verify it at delivery
-    checksummed = False
-
-    #: how a receiver must react to a checksum mismatch: transports
-    #: with a retransmission protocol discard the corrupted copy (the
-    #: sender will retry); protocol-free transports raise
-    #: :class:`CorruptionError`
-    corrupt_is_drop = False
+    def __init__(
+        self,
+        mode: str,
+        plan: Optional[FaultPlan] = None,
+        *,
+        checksums: bool = False,
+        max_retries: int = 10,
+        rto: Optional[float] = None,
+        backoff: float = 2.0,
+    ):
+        if mode not in MODES:
+            raise ValueError(f"unknown reliability mode: {mode!r}")
+        #: the reliability mode (one of :data:`MODES`)
+        self.name = mode
+        self.plan = plan
+        self.arq = mode in ("reliable", "onesided")
+        self.lossy = plan is not None and mode != "direct"
+        #: senders stamp a checksum on every envelope and receivers
+        #: verify it at delivery; the unreliable mode never checksums --
+        #: it exists to demonstrate the silent failure mode
+        self.checksummed = checksums and mode != "unreliable"
+        self.max_retries = max_retries
+        self.rto = rto
+        self.backoff = backoff
+        self._corrupting = plan is not None and plan.any_corruption_faults
+        # the raw faulty network (unreliable): the channel ordinal only
+        # keys the corruption decision and never travels, and a flip
+        # goes unnoted -- nothing on this network can see it
+        self._raw = self.lossy and not self.arq
 
     def send(self, proc, dest, tag, payload) -> None:
-        raise NotImplementedError
+        start = proc.clock
+        self._charge_startup(proc, payload)
+        checksum = payload_checksum(payload) if self.checksummed else None
+        self._transmit(proc, dest, tag, payload, start, checksum)
 
     def multicast(self, proc, dests, tag, payload) -> None:
-        raise NotImplementedError
+        """One startup charge, then one transmission per destination."""
+        if not dests:
+            return
+        start = proc.clock
+        self._charge_startup(proc, payload)
+        proc.stats.multicasts += 1
+        self._trace_multicast(proc, dests, tag, payload, start)
+        checksum = payload_checksum(payload) if self.checksummed else None
+        for dest in dests:
+            self._transmit(proc, dest, tag, payload, proc.clock, checksum,
+                           "multicast")
+
+    def _transmit(self, proc, dest, tag, payload, start, checksum,
+                  note="") -> None:
+        """The per-destination attempt loop every mode runs.
+
+        Counts one logical message; without ARQ it makes a single
+        attempt.  Every attempt puts its own wire copy of ``payload`` on
+        the network, so the sender's buffer is never aliased.  ``start``
+        is the sender's clock before the startup charge (the send event
+        spans it); multicast legs pass ``start == clock`` so only the
+        parent event carries the single shared charge.
+        """
+        proc.stats.messages_sent += 1
+        proc.stats.words_sent += len(payload)
+        machine, arq, myp = proc.machine, self.arq, proc.myp
+        seq = None
+        if arq:
+            seq = proc.next_seq(dest)
+            delivered_once = False
+            base = self._initial_rto(machine.cost)
+            cap = base * self.backoff ** self.max_retries
+            # interned channel key: no per-message tuple allocation
+            dkey = machine.canon(dest)
+            rto = min(proc._arq_rto.get(dkey, base), cap)
+        attempt = 0
+        while True:
+            dropped = self.lossy and self.plan.drops(myp, dest, tag, attempt)
+            corrupted = False
+            if self._corrupting and not dropped:
+                # without ARQ the channel ordinal is drawn only when
+                # corruption is armed, so the fault-free path consumes
+                # no sequence numbers (the zero-overhead contract,
+                # DESIGN.md §12); corruption schedules written as
+                # (src, dst, seq) name the same logical message in
+                # every mode
+                ordinal = proc.next_seq(dest) if seq is None else seq
+                corrupted = self.plan.corrupts(myp, dest, ordinal, attempt)
+                if not self._raw:
+                    seq = ordinal
+            duplicated = (
+                self.lossy and not dropped and not (arq and corrupted)
+                and self.plan.duplicates(myp, dest, tag, attempt)
+            )
+            if machine.trace is not None:
+                if dropped:
+                    attempt_note = "dropped"
+                elif corrupted and not self._raw:
+                    attempt_note = "corrupted"
+                elif duplicated and self._raw and not note:
+                    attempt_note = "duplicated"
+                else:
+                    attempt_note = note
+                machine.trace.emit(TraceEvent(
+                    kind=self.SEND_KIND if attempt == 0 else "retransmit",
+                    rank=myp, start=start, end=proc.clock,
+                    tag=tag, peer=tuple(dest), words=len(payload),
+                    attempt=attempt, seq=seq,
+                    incarnation=proc._incarnation, note=attempt_note,
+                ))
+            if dropped:
+                if not arq:
+                    proc.stats.messages_lost += 1
+                    machine.monitor.record_send(
+                        myp, dest, tag, delivered=False
+                    )
+                    return
+            else:
+                arrival = proc.clock + machine.cost.latency
+                if self.lossy:
+                    arrival += self.plan.delay(myp, dest, tag, attempt)
+                wire = machine.wire_copy(payload)
+                if corrupted:
+                    # the flip happens on the wire, after the checksum
+                    # was stamped: the receiver's verification fails
+                    # (with ARQ the copy is discarded before it can
+                    # touch dedup state, no acknowledgement comes back,
+                    # and this sender falls through to the timeout
+                    # below -- exactly the drop recovery path)
+                    flip_word(wire, self.plan.corrupt_word(
+                        len(wire), myp, dest, ordinal, attempt
+                    ))
+                    proc.stats.corruptions_injected += 1
+                machine.deliver(
+                    dest,
+                    machine.make_envelope(
+                        myp, seq, tag, wire, arrival, checksum
+                    ),
+                )
+                if duplicated:
+                    proc.stats.duplicates_sent += 1
+                    machine.deliver(
+                        dest,
+                        machine.make_envelope(
+                            myp, seq, tag, machine.wire_copy(wire),
+                            arrival + machine.cost.latency, checksum,
+                        ),
+                    )
+                if not arq:
+                    machine.monitor.record_send(
+                        myp, dest, tag, delivered=True
+                    )
+                    return
+                if not corrupted:
+                    delivered_once = True
+                    if not (self.lossy and self.plan.drops_ack(
+                        myp, dest, tag, attempt
+                    )):
+                        machine.monitor.record_send(
+                            myp, dest, tag, delivered=True
+                        )
+                        # clean first try decays the channel timer
+                        # toward base; a recovered message leaves it at
+                        # the level that finally worked
+                        if attempt == 0:
+                            proc._arq_rto[dkey] = max(base, rto * 0.5)
+                        else:
+                            proc._arq_rto[dkey] = min(cap, rto)
+                        return
+                    proc.stats.acks_lost += 1
+                    if machine.trace is not None:
+                        machine.trace.emit(TraceEvent(
+                            kind="ack-lost", rank=myp, start=proc.clock,
+                            end=proc.clock, tag=tag, peer=tuple(dest),
+                            attempt=attempt, seq=seq,
+                            incarnation=proc._incarnation,
+                        ))
+            # wait out the retransmission timer before trying again
+            timeout_start = proc.clock
+            proc.clock += rto
+            proc.stats.timeout_time += rto
+            if machine.trace is not None:
+                machine.trace.emit(TraceEvent(
+                    kind="timeout", rank=myp, start=timeout_start,
+                    end=proc.clock, tag=tag, peer=tuple(dest),
+                    attempt=attempt, seq=seq,
+                    incarnation=proc._incarnation,
+                ))
+            rto = min(rto * self.backoff, cap)
+            if attempt == self.max_retries:
+                break
+            # the retransmission pays full message cost again
+            attempt += 1
+            proc.stats.retransmissions += 1
+            start = proc.clock
+            cost = machine.cost
+            charge = cost.alpha + cost.beta * len(payload)
+            proc.clock += charge
+            proc.stats.send_time += charge
+        proc._arq_rto[dkey] = cap
+        machine.monitor.record_send(myp, dest, tag, delivered=delivered_once)
+        raise TransportError(
+            f"processor {myp} -> {dest} tag={tag}: no acknowledged "
+            f"delivery after {self.max_retries + 1} "
+            f"attempt{'s' if self.max_retries else ''} "
+            f"({'delivered but unacked' if delivered_once else 'all copies lost'})"
+        )
 
     # -- shared helpers ------------------------------------------------------
 
-    def _charge_startup(self, proc, payload) -> float:
+    def _initial_rto(self, cost) -> float:
+        if self.rto is not None:
+            return self.rto
+        return 2.0 * cost.latency + cost.recv_overhead + cost.alpha
+
+    def _charge_startup(self, proc, payload) -> None:
         cost = proc.machine.cost
         charge = cost.alpha + cost.beta * len(payload)
         if self.checksummed:
             charge += cost.checksum_word_time * len(payload)
         proc.clock += charge
         proc.stats.send_time += charge
-        return charge
-
-    def _checksum(self, payload) -> Optional[int]:
-        """Digest stamped on outgoing envelopes (None when disabled)."""
-        if not self.checksummed:
-            return None
-        return payload_checksum(payload)
-
-    @staticmethod
-    def _count(proc, payload) -> None:
-        proc.stats.messages_sent += 1
-        proc.stats.words_sent += len(payload)
-
-    def _trace_send(self, proc, dest, tag, payload, start, *,
-                    attempt=0, seq=None, note="") -> None:
-        """Record one logical send.  ``start`` is the sender's clock
-        before the startup charge (the event spans it); multicast legs
-        pass ``start == clock`` so only the parent event carries the
-        single shared charge."""
-        trace = proc.machine.trace
-        if trace is not None:
-            trace.emit(TraceEvent(
-                kind=self.SEND_KIND, rank=proc.myp, start=start, end=proc.clock,
-                tag=tag, peer=tuple(dest), words=len(payload),
-                attempt=attempt, seq=seq,
-                incarnation=proc._incarnation, note=note,
-            ))
 
     @staticmethod
     def _trace_multicast(proc, dests, tag, payload, start) -> None:
@@ -392,359 +610,20 @@ class Transport:
             ))
 
 
-class DirectTransport(Transport):
-    """The iPSC assumption: exactly-once, in-order, never fails.
-
-    A corruption-capable fault plan can still flip words on the wire;
-    with no retransmission protocol the receiver's verification raises
-    :class:`CorruptionError` (or, unchecksummed, the flip is silent).
-    """
-
-    name = "direct"
-
-    def __init__(self, plan: Optional[FaultPlan] = None):
-        self.plan = plan
-
-    def _wire_copy(self, proc, dest, payload):
-        """Copy the payload onto the wire, maybe corrupting it.
-
-        Returns ``(copy, seq, note)``.  The channel ordinal ``seq`` is
-        consumed from the same per-(src, dest) counter the reliable
-        transport uses, so corruption schedules written as
-        ``(src, dst, seq)`` name the same logical message on either
-        transport; it is only consumed when corruption is armed so the
-        fault-free path stays bit-identical to the historical one.
-        """
-        wire = proc.machine.wire_copy(payload)
-        plan = self.plan
-        if plan is None or not plan.any_corruption_faults:
-            return wire, None, ""
-        seq = proc.next_seq(dest)
-        if not plan.corrupts(proc.myp, dest, seq, 0):
-            return wire, seq, ""
-        flip_word(wire, plan.corrupt_word(len(wire), proc.myp, dest, seq, 0))
-        proc.stats.corruptions_injected += 1
-        return wire, seq, "corrupted"
-
-    def send(self, proc, dest, tag, payload) -> None:
-        machine = proc.machine
-        start = proc.clock
-        self._charge_startup(proc, payload)
-        self._count(proc, payload)
-        checksum = self._checksum(payload)
-        wire, seq, note = self._wire_copy(proc, dest, payload)
-        arrival = proc.clock + machine.cost.latency
-        machine.deliver(
-            dest,
-            machine.make_envelope(
-                proc.myp, seq, tag, wire, arrival, checksum
-            ),
-        )
-        machine.monitor.record_send(proc.myp, dest, tag, delivered=True)
-        self._trace_send(proc, dest, tag, payload, start, seq=seq, note=note)
-
-    def multicast(self, proc, dests, tag, payload) -> None:
-        if not dests:
-            return
-        machine = proc.machine
-        start = proc.clock
-        self._charge_startup(proc, payload)
-        proc.stats.multicasts += 1
-        self._trace_multicast(proc, dests, tag, payload, start)
-        checksum = self._checksum(payload)
-        for dest in dests:
-            self._count(proc, payload)
-            wire, seq, note = self._wire_copy(proc, dest, payload)
-            arrival = proc.clock + machine.cost.latency
-            machine.deliver(
-                dest,
-                machine.make_envelope(
-                    proc.myp, seq, tag, wire, arrival, checksum
-                ),
-            )
-            machine.monitor.record_send(proc.myp, dest, tag, delivered=True)
-            self._trace_send(proc, dest, tag, payload, proc.clock, seq=seq,
-                             note=note or "multicast")
-
-
-class UnreliableTransport(Transport):
-    """A faulty network with no recovery protocol at all."""
-
-    name = "unreliable"
-
-    def __init__(self, plan: FaultPlan):
-        self.plan = plan
-
-    def send(self, proc, dest, tag, payload) -> None:
-        start = proc.clock
-        self._charge_startup(proc, payload)
-        self._count(proc, payload)
-        self._cast(proc, dest, tag, proc.machine.wire_copy(payload), start)
-
-    def multicast(self, proc, dests, tag, payload) -> None:
-        if not dests:
-            return
-        start = proc.clock
-        self._charge_startup(proc, payload)
-        proc.stats.multicasts += 1
-        self._trace_multicast(proc, dests, tag, payload, start)
-        for dest in dests:
-            self._count(proc, payload)
-            self._cast(proc, dest, tag, proc.machine.wire_copy(payload),
-                       proc.clock, note="multicast")
-
-    def _cast(self, proc, dest, tag, payload, start, note="") -> None:
-        machine, plan = proc.machine, self.plan
-        if plan.drops(proc.myp, dest, tag, 0):
-            proc.stats.messages_lost += 1
-            machine.monitor.record_send(proc.myp, dest, tag, delivered=False)
-            self._trace_send(proc, dest, tag, payload, start, note="dropped")
-            return
-        if plan.any_corruption_faults:
-            # no checksum, no protocol: the flip is silent -- this
-            # transport exists to demonstrate exactly that failure mode
-            seq = proc.next_seq(dest)
-            if plan.corrupts(proc.myp, dest, seq, 0):
-                flip_word(
-                    payload,
-                    plan.corrupt_word(len(payload), proc.myp, dest, seq, 0),
-                )
-                proc.stats.corruptions_injected += 1
-        delay = plan.delay(proc.myp, dest, tag, 0)
-        arrival = proc.clock + machine.cost.latency + delay
-        machine.deliver(
-            dest,
-            machine.make_envelope(
-                proc.myp, None, tag, payload, arrival
-            ),
-        )
-        if plan.duplicates(proc.myp, dest, tag, 0):
-            proc.stats.duplicates_sent += 1
-            if not note:
-                note = "duplicated"
-            machine.deliver(
-                dest,
-                machine.make_envelope(
-                    proc.myp, None, tag, machine.wire_copy(payload),
-                    arrival + machine.cost.latency,
-                ),
-            )
-        machine.monitor.record_send(proc.myp, dest, tag, delivered=True)
-        self._trace_send(proc, dest, tag, payload, start, note=note)
-
-
-class ReliableTransport(Transport):
-    """Stop-and-wait ARQ over an (optionally) faulty network.
-
-    ``rto`` is the base retransmission timeout in model-time units;
-    when ``None`` it is derived from the machine's cost model as one
-    full round trip (``2*latency + recv_overhead + alpha``).  Each
-    failed attempt stalls the sender by the current RTO and doubles it
-    (``backoff``); after ``max_retries`` retransmissions without an
-    acknowledged delivery the sender raises :class:`TransportError`.
-
-    The timer is **adaptive per channel** (``adaptive=True``, the
-    default): each (sender, destination) pair remembers its last RTO.
-    A message that needed retransmissions leaves the channel's timer
-    inflated, so the next message on a congested/lossy channel does
-    not burn the full exponential ramp again; a clean first-attempt
-    acknowledgement decays the timer halfway back toward the base.
-    The timer never exceeds ``base * backoff**max_retries`` -- the
-    value the fixed scheme would have reached at the retry cap -- and
-    never falls below the base, and every wait is charged to the cost
-    model and traced as a ``timeout`` event, so the makespan
-    decomposition stays exhaustive.  The per-channel state lives on
-    the sending processor and is checkpointed with it, keeping
-    post-recovery timing bit-reproducible.
-
-    A corruption-capable plan flips words *after* the checksum is
-    stamped; the receiver discards the corrupted copy before it can
-    touch dedup state (see ``Processor._recv_accept``), so from this
-    sender's point of view a corrupted attempt is exactly a drop: no
-    acknowledgement, wait out the RTO, retransmit.
-    """
-
-    name = "reliable"
-    corrupt_is_drop = True
-
-    def __init__(
-        self,
-        plan: Optional[FaultPlan] = None,
-        max_retries: int = 10,
-        rto: Optional[float] = None,
-        backoff: float = 2.0,
-        adaptive: bool = True,
-    ):
-        self.plan = plan
-        self.max_retries = max_retries
-        self.rto = rto
-        self.backoff = backoff
-        self.adaptive = adaptive
-
-    def send(self, proc, dest, tag, payload) -> None:
-        start = proc.clock
-        self._charge_startup(proc, payload)
-        self._count(proc, payload)
-        self._transmit(proc, dest, tag, copy_payload(payload), start)
-
-    def multicast(self, proc, dests, tag, payload) -> None:
-        if not dests:
-            return
-        start = proc.clock
-        self._charge_startup(proc, payload)
-        proc.stats.multicasts += 1
-        self._trace_multicast(proc, dests, tag, payload, start)
-        for dest in dests:
-            self._count(proc, payload)
-            self._transmit(proc, dest, tag, copy_payload(payload),
-                           proc.clock, note="multicast")
-
-    def _initial_rto(self, cost) -> float:
-        if self.rto is not None:
-            return self.rto
-        return 2.0 * cost.latency + cost.recv_overhead + cost.alpha
-
-    def _transmit(self, proc, dest, tag, payload, start, note="") -> None:
-        machine, plan = proc.machine, self.plan
-        cost, monitor = machine.cost, machine.monitor
-        trace = machine.trace
-        seq = proc.next_seq(dest)
-        checksum = self._checksum(payload)
-        base = self._initial_rto(cost)
-        cap = base * self.backoff ** self.max_retries
-        # interned channel key: no per-message tuple allocation
-        dkey = machine.canon(dest)
-        if self.adaptive:
-            rto = min(proc._arq_rto.get(dkey, base), cap)
-        else:
-            rto = base
-        delivered_once = False
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                # the retransmission pays full message cost again
-                proc.stats.retransmissions += 1
-                start = proc.clock
-                charge = cost.alpha + cost.beta * len(payload)
-                proc.clock += charge
-                proc.stats.send_time += charge
-            dropped = plan is not None and plan.drops(
-                proc.myp, dest, tag, attempt
-            )
-            corrupted = (
-                not dropped
-                and plan is not None
-                and plan.corrupts(proc.myp, dest, seq, attempt)
-            )
-            attempt_note = (
-                "dropped" if dropped
-                else "corrupted" if corrupted
-                else note
-            )
-            if trace is not None:
-                trace.emit(TraceEvent(
-                    kind=self.SEND_KIND if attempt == 0 else "retransmit",
-                    rank=proc.myp, start=start, end=proc.clock,
-                    tag=tag, peer=tuple(dest), words=len(payload),
-                    attempt=attempt, seq=seq,
-                    incarnation=proc._incarnation, note=attempt_note,
-                ))
-            if not dropped:
-                delay = (
-                    plan.delay(proc.myp, dest, tag, attempt) if plan else 0.0
-                )
-                arrival = proc.clock + cost.latency + delay
-                wire = machine.wire_copy(payload)
-                if corrupted:
-                    # the flip happens on the wire, after the checksum
-                    # was stamped: the receiver's verification fails,
-                    # the copy is discarded before it can touch dedup
-                    # state, no acknowledgement comes back, and this
-                    # sender falls through to the timeout below --
-                    # exactly the drop recovery path
-                    flip_word(wire, plan.corrupt_word(
-                        len(wire), proc.myp, dest, seq, attempt
-                    ))
-                    proc.stats.corruptions_injected += 1
-                machine.deliver(
-                    dest,
-                    machine.make_envelope(
-                        proc.myp, seq, tag, wire, arrival, checksum
-                    ),
-                )
-                if not corrupted:
-                    delivered_once = True
-                    if plan is not None and plan.duplicates(
-                        proc.myp, dest, tag, attempt
-                    ):
-                        proc.stats.duplicates_sent += 1
-                        machine.deliver(
-                            dest,
-                            machine.make_envelope(
-                                proc.myp, seq, tag, machine.wire_copy(payload),
-                                arrival + cost.latency, checksum,
-                            ),
-                        )
-                    ack_lost = plan is not None and plan.drops_ack(
-                        proc.myp, dest, tag, attempt
-                    )
-                    if not ack_lost:
-                        monitor.record_send(
-                            proc.myp, dest, tag, delivered=True
-                        )
-                        if self.adaptive:
-                            # clean first try decays the channel timer
-                            # toward base; a recovered message leaves
-                            # it at the level that finally worked
-                            if attempt == 0:
-                                proc._arq_rto[dkey] = max(base, rto * 0.5)
-                            else:
-                                proc._arq_rto[dkey] = min(cap, rto)
-                        return
-                    proc.stats.acks_lost += 1
-                    if trace is not None:
-                        trace.emit(TraceEvent(
-                            kind="ack-lost", rank=proc.myp, start=proc.clock,
-                            end=proc.clock, tag=tag, peer=tuple(dest),
-                            attempt=attempt, seq=seq,
-                            incarnation=proc._incarnation,
-                        ))
-            # wait out the retransmission timer before trying again
-            timeout_start = proc.clock
-            proc.clock += rto
-            proc.stats.timeout_time += rto
-            if trace is not None:
-                trace.emit(TraceEvent(
-                    kind="timeout", rank=proc.myp, start=timeout_start,
-                    end=proc.clock, tag=tag, peer=tuple(dest),
-                    attempt=attempt, seq=seq,
-                    incarnation=proc._incarnation,
-                ))
-            rto = min(rto * self.backoff, cap)
-        if self.adaptive:
-            proc._arq_rto[dkey] = cap
-        monitor.record_send(proc.myp, dest, tag, delivered=delivered_once)
-        raise TransportError(
-            f"processor {proc.myp} -> {dest} tag={tag}: no acknowledged "
-            f"delivery after {self.max_retries + 1} "
-            f"attempt{'s' if self.max_retries else ''} "
-            f"({'delivered but unacked' if delivered_once else 'all copies lost'})"
-        )
-
-
-class OneSidedTransport(ReliableTransport):
+class OneSidedTransport(Transport):
     """One-sided PGAS transport: remote windows updated by ``put``.
 
     Each rank's tag-keyed stash *is* its remote-access window: a
     ``put`` writes a remote window entry, a ``fence`` makes every
     delivered put visible locally, and a ``get`` reads the local window
-    without consuming it.  The wire protocol is exactly the reliable
-    stop-and-wait ARQ (sequence numbers, acks, retransmission with
-    adaptive per-channel timers, receiver-side dedup, verify-before-
-    commit checksums), so arrays, clocks and ProcStats are
-    bit-identical to :class:`ReliableTransport` by construction -- the
-    only trace-visible difference is that first-attempt transmissions
-    carry the ``put`` kind instead of ``send`` (retransmissions keep
-    ``retransmit``).
+    without consuming it.  The wire protocol is the ``onesided``
+    mode's ARQ -- the same attempt loop as ``reliable`` (sequence
+    numbers, acks, retransmission with adaptive per-channel timers,
+    receiver-side dedup, verify-before-commit checksums) -- so arrays,
+    clocks and ProcStats match the reliable mode bit for bit apart
+    from the ``puts`` counter this class adds; the only trace-visible
+    difference is that first-attempt transmissions carry the ``put``
+    kind instead of ``send`` (retransmissions keep ``retransmit``).
 
     Fault injection applies unchanged: drop/dup/stall decisions hit
     puts exactly as they hit sends (same plan hash stream, same channel
@@ -761,8 +640,10 @@ class OneSidedTransport(ReliableTransport):
     hand-written harnesses and the property-test suite.
     """
 
-    name = "onesided"
     SEND_KIND = "put"
+
+    def __init__(self, plan: Optional[FaultPlan] = None, **options):
+        super().__init__("onesided", plan, **options)
 
     def send(self, proc, dest, tag, payload) -> None:
         proc.stats.puts += 1

@@ -27,7 +27,6 @@ from repro.runtime import (
     CostModel,
     FaultPlan,
     Machine,
-    ReliableTransport,
     run_spmd,
 )
 
@@ -203,36 +202,42 @@ class TestZeroOverhead:
 
 
 class TestAdaptiveRto:
-    def _run(self, adaptive):
+    """The per-channel adaptive RTO is the ARQ's only timer: it must
+    recover bit-exactly and keep its state per (sender, destination)
+    channel within ``[base, base * backoff**max_retries]``."""
+
+    def _run(self):
         _build, params = WORKLOADS["fig2"]
         spmd = compiled_spmd("fig2")
-        plan = FaultPlan(seed=5, ack_drop_rate=0.6)
         machine = Machine(
             spmd.program,
             spmd.space,
             params,
-            fault_plan=plan,
-            transport=ReliableTransport(plan, adaptive=adaptive),
+            fault_plan=FaultPlan(seed=5, ack_drop_rate=0.6),
+            reliability="reliable",
         )
         return machine, machine.run(spmd.node)
 
-    def test_both_modes_recover_exactly(self):
+    def test_recovers_exactly(self):
         _build, params = WORKLOADS["fig2"]
-        spmd = compiled_spmd("fig2")
-        oracle = run_spmd(spmd, params)
-        for adaptive in (False, True):
-            machine, result = self._run(adaptive)
-            assert result.stat_sum("retransmissions") > 0
-            assert_same_arrays(result, oracle, f"adaptive={adaptive}")
+        oracle = run_spmd(compiled_spmd("fig2"), params)
+        _machine, result = self._run()
+        assert result.stat_sum("retransmissions") > 0
+        assert_same_arrays(result, oracle, "adaptive RTO")
 
-    def test_rto_state_is_per_channel_and_only_when_adaptive(self):
-        machine, _result = self._run(adaptive=False)
-        assert all(not p._arq_rto for p in machine.procs.values())
-        machine, _result = self._run(adaptive=True)
-        # channels that timed out remember an inflated RTO
-        inflated = [
-            rto
+    def test_rto_state_is_per_channel_and_bounded(self):
+        machine, _result = self._run()
+        transport = machine.transport
+        base = transport._initial_rto(machine.cost)
+        cap = base * transport.backoff ** transport.max_retries
+        channels = {
+            (proc.myp, dest): rto
             for proc in machine.procs.values()
-            for rto in proc._arq_rto.values()
-        ]
-        assert inflated, "adaptive run never recorded channel state"
+            for dest, rto in proc._arq_rto.items()
+        }
+        assert channels, "the ARQ never recorded channel state"
+        for (src, dest), rto in channels.items():
+            assert dest in machine.procs and dest != src
+            assert base <= rto <= cap
+        # channels that timed out remember an inflated RTO
+        assert any(rto > base for rto in channels.values())

@@ -129,6 +129,28 @@ class TestChannels:
         )
         machine.run(node)
 
+    def test_multicast_payload_is_read_only(self):
+        """Co-resident receivers share one cached multicast payload, so
+        a node program writing into it must fail loudly."""
+        import numpy as np
+
+        prog = parse(FIG2)
+        stmt = prog.statements()[0]
+        comp = block_loop(stmt, ["i"], [32])
+
+        def node(proc):
+            if proc.myp == (0,):
+                proc.multicast([(1,)], ("mc",), np.array([7.0]))
+            else:
+                payload = yield ("recv_mc", (0,), ("mc",))
+                payload[0] = 1.0
+
+        machine = Machine(
+            prog, comp.space, {"N": 70, "T": 0, "P": 2}, timeout=2.0
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            machine.run(node)
+
 
 class TestInitialArrays:
     def test_nan_poisoning(self):
