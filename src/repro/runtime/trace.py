@@ -359,19 +359,23 @@ def match_messages(
     receiver consumes each tag occurrence in its own program order, so
     the k-th receive of a tag consumes the k-th delivered send of that
     tag.  Transmission attempts the network dropped outright
-    (``note == 'dropped'``) never match, and neither do corrupted
-    copies (``note == 'corrupted'``): they are delivered but the
-    receiver's checksum verification discards them, so they cannot be
-    the copy a receive consumed.  A ``retransmit`` attempt can match
-    (it is the delivery when the ARQ's first copy was lost or rotten).
+    (``note == 'dropped'``) never match, and neither do sequenced
+    corrupted copies (``note == 'corrupted'``, ``seq`` set): they are
+    delivered but the receiver's checksum verification discards them,
+    so they cannot be the copy a receive consumed.  The unreliable
+    mode stamps no sequence number and checks nothing, so its
+    corrupted copies are consumed and do match.  A ``retransmit``
+    attempt can match (it is the delivery when the ARQ's first copy was
+    lost or rotten).
     Returns (send, recv) pairs ordered by receive time; unmatched
     events are simply absent (see
     :func:`~.analysis.unmatched_receives` for the audit).
     """
     sends: Dict[tuple, deque] = {}
     for ev in trace.events():
-        if ev.kind in ("send", "put", "retransmit") and ev.note not in (
-            "dropped", "corrupted"
+        if ev.kind in ("send", "put", "retransmit") and not (
+            ev.note == "dropped"
+            or (ev.note == "corrupted" and ev.seq is not None)
         ):
             sends.setdefault((ev.peer, repr(ev.tag)), deque()).append(ev)
     pairs: List[Tuple[TraceEvent, TraceEvent]] = []

@@ -405,8 +405,8 @@ class Transport:
         self.backoff = backoff
         self._corrupting = plan is not None and plan.any_corruption_faults
         # the raw faulty network (unreliable): the channel ordinal only
-        # keys the corruption decision and never travels, and a flip
-        # goes unnoted -- nothing on this network can see it
+        # keys the corruption decision and never travels as a sequence
+        # number -- nothing on this network checks one
         self._raw = self.lossy and not self.arq
 
     def send(self, proc, dest, tag, payload) -> None:
@@ -473,9 +473,9 @@ class Transport:
             if machine.trace is not None:
                 if dropped:
                     attempt_note = "dropped"
-                elif corrupted and not self._raw:
+                elif corrupted:
                     attempt_note = "corrupted"
-                elif duplicated and self._raw and not note:
+                elif duplicated and not note:
                     attempt_note = "duplicated"
                 else:
                     attempt_note = note
