@@ -1206,9 +1206,10 @@ def node_from_source(src: str):
     """(Re)build the generator function ``node(proc)`` from its source.
 
     The compile cache stores node programs as source text (closures do
-    not pickle); loading a cached :class:`~repro.codegen.spmd.SPMD`
-    re-executes the stored text through this function, which is exactly
-    how the original was built -- same namespace, same behavior.
+    not pickle); a cached :class:`~repro.codegen.spmd.SPMD` executes
+    the stored text through this function the first time its ``node``
+    is read, which is exactly how the original was built -- same
+    namespace, same behavior.
     """
     namespace: dict = {"_np": np, "_cat": _cat_payload}
     exec(compile(src, "<node-program>", "exec"), namespace)  # noqa: S102

@@ -26,6 +26,7 @@ after the first i2 iteration produces it, exactly like Figure 13.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -71,6 +72,7 @@ from .cast import (
     compile_node_program,
     emit_c,
     fresh_buffer,
+    node_from_source,
 )
 from .genloops import (
     _wrap_level,
@@ -102,9 +104,22 @@ class SPMDOptions:
     early_puts: bool = False
 
 
+#: the SPMD fields a cached artifact keeps encoded until first read
+ANALYSIS_FIELDS = ("program", "space", "tree", "commsets", "plans")
+
+_DEFERRED_LOCK = threading.Lock()
+
+
 @dataclass
 class SPMD:
-    """A generated SPMD program plus everything needed to run/inspect it."""
+    """A generated SPMD program plus everything needed to run/inspect it.
+
+    A fresh compile fills every field.  A cache hit (:meth:`deferred`)
+    holds only what is served -- ``source``, ``c_text`` and the
+    comm-set count -- and defers the rest: ``node`` is built from
+    ``source`` on first read, and the :data:`ANALYSIS_FIELDS` are
+    decoded together on the first read of any of them.
+    """
 
     program: Program
     space: ProcSpace
@@ -114,6 +129,50 @@ class SPMD:
     node: Callable
     commsets: List[CommSet] = field(default_factory=list)
     plans: List = field(default_factory=list)
+
+    @classmethod
+    def deferred(
+        cls,
+        source: str,
+        c_text: str,
+        commset_count: int,
+        analysis: Callable[[], Dict],
+    ) -> "SPMD":
+        """An SPMD holding only its served fields; ``analysis()``
+        returns the analysis fields as a dict when one is first read."""
+        spmd = cls.__new__(cls)
+        spmd.__dict__.update(
+            source=source, c_text=c_text,
+            _commset_count=commset_count, _analysis=analysis,
+        )
+        return spmd
+
+    @property
+    def commset_count(self) -> int:
+        """``len(commsets)``, answered without decoding the analysis."""
+        count = self.__dict__.get("_commset_count")
+        return len(self.commsets) if count is None else count
+
+    def is_loaded(self, name: str) -> bool:
+        """False only for a deferred field that nothing has read yet."""
+        return name in self.__dict__
+
+    def __getattr__(self, name):
+        # reached only for a field not yet in the instance dict; the
+        # lock makes concurrent first reads build each field once
+        state = self.__dict__
+        if name == "node":
+            with _DEFERRED_LOCK:
+                if "node" not in state:
+                    state["node"] = node_from_source(self.source)
+            return state["node"]
+        if name in ANALYSIS_FIELDS and "_analysis" in state:
+            with _DEFERRED_LOCK:
+                if "_analysis" in state:
+                    state.update(state["_analysis"]())
+                    del state["_analysis"]  # frees the encoded bytes
+            return state[name]
+        raise AttributeError(name)
 
 
 class SPMDGenerationError(Exception):

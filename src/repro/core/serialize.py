@@ -6,10 +6,15 @@ polyhedral engine already computes:
 * :func:`dump_result` / :func:`load_result` -- round-trip a whole
   :class:`~repro.core.compiler.CompileResult` (including its
   ``poly_stats``) through bytes with an explicit ``SCHEMA_VERSION``.
-  The generated node function is a closure and cannot be pickled; it is
-  stored as its source text and re-executed on load, exactly the way
-  the original was built.  Statements carry their parsed RHS AST
-  (``fn_spec``) so their executable ``fn`` closures rebuild on load too.
+  A blob is two pickles back to back: a small *served* record (node
+  source, C text, comm-set count, counters) and the *analysis* record
+  (program, space, CAST tree, comm sets, plans).  A load decodes only
+  the served record; the analysis record is decoded on the first read
+  of an analysis field.  The generated node function is a closure and
+  cannot be pickled; it is stored as its source text and built from it
+  on first use, exactly the way the original was built.  Statements
+  carry their parsed RHS AST (``fn_spec``) so their executable ``fn``
+  closures rebuild when the analysis record is decoded.
 
 * :func:`canonical_bytes` / :func:`results_equal` -- a *deterministic*
   rendering of everything semantically meaningful in a result (node
@@ -28,14 +33,21 @@ polyhedral engine already computes:
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import fields as dc_fields
-from typing import Dict, Optional
+from functools import partial
+from typing import Dict
 
 #: bump whenever the meaning or layout of serialized artifacts changes;
 #: a mismatch on load raises :class:`SerializeError`, which the disk
-#: cache treats as a miss.
-SCHEMA_VERSION = 1
+#: cache treats as a miss.  2: the served/analysis two-record layout.
+SCHEMA_VERSION = 2
+
+#: version of the canonical renderings (:func:`canonical_bytes`,
+#: :func:`job_key`); independent of the blob layout, so a layout change
+#: leaves every artifact digest and request key as it was.
+CANONICAL_VERSION = 1
 
 _PICKLE_PROTOCOL = 4
 
@@ -168,7 +180,7 @@ def canonical_bytes(result) -> bytes:
     """
     spmd = result.spmd
     doc = (
-        "canon", SCHEMA_VERSION,
+        "canon", CANONICAL_VERSION,
         ("source", spmd.source),
         ("c_text", spmd.c_text),
         ("program", _canon(spmd.program)),
@@ -198,7 +210,7 @@ def job_key(program, comps, initial_data=None, options=None) -> str:
 
     options = options or SPMDOptions()
     doc = (
-        "job", SCHEMA_VERSION,
+        "job", CANONICAL_VERSION,
         _canon(program),
         tuple((name, _canon(comps[name])) for name in sorted(comps)),
         tuple(
@@ -227,68 +239,82 @@ def check_program_picklable(program) -> None:
             )
 
 
-def _check_picklable(result) -> None:
-    check_program_picklable(result.spmd.program)
-
-
 def dump_result(result) -> bytes:
-    """Serialize a CompileResult (poly_stats included) to bytes."""
-    _check_picklable(result)
+    """Serialize a CompileResult (poly_stats included) to bytes: the
+    served record, then the analysis record it records the length of."""
+    from ..codegen.spmd import ANALYSIS_FIELDS
+
+    check_program_picklable(result.spmd.program)
     spmd = result.spmd
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "compile_seconds": result.compile_seconds,
-        "poly_stats": dict(result.poly_stats),
-        "spmd": {
-            "program": spmd.program,
-            "space": spmd.space,
-            "tree": spmd.tree,
-            "source": spmd.source,
-            "c_text": spmd.c_text,
-            "commsets": spmd.commsets,
-            "plans": spmd.plans,
-        },
-    }
     try:
-        return pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
+        analysis = pickle.dumps(
+            {name: getattr(spmd, name) for name in ANALYSIS_FIELDS},
+            protocol=_PICKLE_PROTOCOL,
+        )
+        served = pickle.dumps(
+            {
+                "schema": SCHEMA_VERSION,
+                "compile_seconds": result.compile_seconds,
+                "poly_stats": dict(result.poly_stats),
+                "source": spmd.source,
+                "c_text": spmd.c_text,
+                "commset_count": spmd.commset_count,
+                "analysis_bytes": len(analysis),
+            },
+            protocol=_PICKLE_PROTOCOL,
+        )
     except Exception as exc:  # unpicklable stowaway
         raise SerializeError(f"cannot serialize result: {exc}") from exc
+    return served + analysis
+
+
+def _decode_analysis(data: bytes) -> Dict:
+    try:
+        return pickle.loads(data)
+    except Exception as exc:
+        raise SerializeError(
+            f"cannot decode analysis record: {exc}"
+        ) from exc
 
 
 def load_result(data: bytes):
     """Rebuild a CompileResult from :func:`dump_result` bytes.
 
-    Raises :class:`SerializeError` on truncation, corruption or a
-    schema mismatch -- callers (the disk cache) treat that as a miss.
+    Decodes only the served record; the analysis fields decode on first
+    read and the node function is built on first use.  Raises
+    :class:`SerializeError` on a schema mismatch or a blob whose length
+    disagrees with the recorded one -- callers (the disk cache) treat
+    that as a miss.
     """
-    from ..codegen.cast import node_from_source
     from ..codegen.spmd import SPMD
     from .compiler import CompileResult
 
+    stream = io.BytesIO(data)
     try:
-        payload = pickle.loads(data)
+        served = pickle.Unpickler(stream).load()
     except Exception as exc:
         raise SerializeError(f"cannot decode artifact: {exc}") from exc
-    if not isinstance(payload, dict) or "schema" not in payload:
+    if not isinstance(served, dict) or "schema" not in served:
         raise SerializeError("artifact payload has no schema field")
-    if payload["schema"] != SCHEMA_VERSION:
+    if served["schema"] != SCHEMA_VERSION:
         raise SerializeError(
-            f"artifact schema {payload['schema']} != {SCHEMA_VERSION}"
+            f"artifact schema {served['schema']} != {SCHEMA_VERSION}"
         )
-    s = payload["spmd"]
-    spmd = SPMD(
-        program=s["program"],
-        space=s["space"],
-        tree=s["tree"],
-        source=s["source"],
-        c_text=s["c_text"],
-        node=node_from_source(s["source"]),
-        commsets=s["commsets"],
-        plans=s["plans"],
+    analysis = data[stream.tell():]
+    if len(analysis) != served["analysis_bytes"]:
+        raise SerializeError(
+            f"analysis record is {len(analysis)} bytes, expected "
+            f"{served['analysis_bytes']}"
+        )
+    spmd = SPMD.deferred(
+        served["source"],
+        served["c_text"],
+        served["commset_count"],
+        partial(_decode_analysis, analysis),
     )
     return CompileResult(
         spmd,
-        payload["compile_seconds"],
-        poly_stats=dict(payload["poly_stats"]),
-        schema_version=payload["schema"],
+        served["compile_seconds"],
+        poly_stats=dict(served["poly_stats"]),
+        schema_version=served["schema"],
     )

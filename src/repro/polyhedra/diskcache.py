@@ -25,8 +25,9 @@ Layout and invariants:
   touch their entry).  Eviction is advisory hygiene: evicting never
   changes results, only future hit rates.
 
-Trust model: cache bodies are unpickled on load, and whole-result
-artifacts re-execute stored node source (``serialize.load_result``).
+Trust model: cache bodies are unpickled on load, and a whole-result
+artifact executes its stored node source when its node function is
+first read (``serialize.load_result`` defers it).
 The BLAKE2b digest is computed *from the body itself*, so it detects
 accidental corruption only, never tampering -- anyone who can write to
 the cache directory can run arbitrary code in every process that reads

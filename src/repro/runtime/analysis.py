@@ -153,7 +153,7 @@ def comm_matrix(trace: TraceBuffer) -> CommMatrix:
             e.words += ev.words
             if ev.note == "dropped":
                 e.dropped += 1
-            elif ev.note == "corrupted":
+            elif ev.note.startswith("corrupted"):
                 e.corrupted += 1
         elif ev.kind == "retransmit":
             e = matrix.edge(ev.rank, ev.peer)
@@ -161,7 +161,7 @@ def comm_matrix(trace: TraceBuffer) -> CommMatrix:
             e.retransmitted_words += ev.words
             if ev.note == "dropped":
                 e.dropped += 1
-            elif ev.note == "corrupted":
+            elif ev.note.startswith("corrupted"):
                 e.corrupted += 1
     return matrix
 

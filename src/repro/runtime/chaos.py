@@ -452,7 +452,8 @@ def _explicitize(spmd, params, plan, transport) -> List[tuple]:
     """Re-express a rate-based corruption plan as explicit events.
 
     Runs the trial traced and reads off which wire copies the plan
-    corrupted (``note == 'corrupted'`` send/retransmit events); each
+    corrupted (send/retransmit events noted ``corrupted`` or
+    ``corrupted-unchecked`` that carry a channel ordinal); each
     becomes an explicit ``((src, dst, seq), word)`` entry (explicit
     entries fire on the original transmission).  The word index is
     recomputed from the plan's own hash stream, so the entry flips the
@@ -469,7 +470,7 @@ def _explicitize(spmd, params, plan, transport) -> List[tuple]:
         return []
     entries: Dict[tuple, int] = {}
     for ev in result.trace.by_kind("send", "retransmit"):
-        if ev.note != "corrupted" or ev.seq is None:
+        if not ev.note.startswith("corrupted") or ev.seq is None:
             continue
         key = (tuple(ev.rank), tuple(ev.peer), ev.seq)
         if key in entries:

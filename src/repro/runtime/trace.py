@@ -136,7 +136,9 @@ class TraceEvent:
     overhead: float = 0.0
     #: crash-tolerance incarnation the event was observed in
     incarnation: int = 0
-    #: free-form qualifier: 'dropped', 'multicast', 'scheduled', ...
+    #: free-form qualifier: 'dropped', 'corrupted' (a checksummed copy
+    #: the receiver discards), 'corrupted-unchecked' (a copy consumed
+    #: without a checksum), 'multicast', 'scheduled', ...
     note: str = ""
 
     @property
@@ -359,12 +361,13 @@ def match_messages(
     receiver consumes each tag occurrence in its own program order, so
     the k-th receive of a tag consumes the k-th delivered send of that
     tag.  Transmission attempts the network dropped outright
-    (``note == 'dropped'``) never match, and neither do sequenced
-    corrupted copies (``note == 'corrupted'``, ``seq`` set): they are
-    delivered but the receiver's checksum verification discards them,
-    so they cannot be the copy a receive consumed.  The unreliable
-    mode stamps no sequence number and checks nothing, so its
-    corrupted copies are consumed and do match.  A ``retransmit``
+    (``note == 'dropped'``) never match, and neither do checksummed
+    corrupted copies (``note == 'corrupted'``): they are delivered but
+    the receiver's checksum verification discards them, so they cannot
+    be the copy a receive consumed.  A copy sent without a checksum
+    (the unreliable mode, or any mode with checksums off) is consumed
+    as it arrived, corruption and all; it is noted
+    ``'corrupted-unchecked'`` and does match.  A ``retransmit``
     attempt can match (it is the delivery when the ARQ's first copy was
     lost or rotten).
     Returns (send, recv) pairs ordered by receive time; unmatched
@@ -373,9 +376,8 @@ def match_messages(
     """
     sends: Dict[tuple, deque] = {}
     for ev in trace.events():
-        if ev.kind in ("send", "put", "retransmit") and not (
-            ev.note == "dropped"
-            or (ev.note == "corrupted" and ev.seq is not None)
+        if ev.kind in ("send", "put", "retransmit") and ev.note not in (
+            "dropped", "corrupted"
         ):
             sends.setdefault((ev.peer, repr(ev.tag)), deque()).append(ev)
     pairs: List[Tuple[TraceEvent, TraceEvent]] = []

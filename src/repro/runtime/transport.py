@@ -474,7 +474,11 @@ class Transport:
                 if dropped:
                     attempt_note = "dropped"
                 elif corrupted:
-                    attempt_note = "corrupted"
+                    # an unchecksummed copy is consumed as it arrived
+                    attempt_note = (
+                        "corrupted" if checksum is not None
+                        else "corrupted-unchecked"
+                    )
                 elif duplicated and not note:
                     attempt_note = "duplicated"
                 else:

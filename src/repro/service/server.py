@@ -17,7 +17,7 @@ batched form).  A compile request::
 answers::
 
     {"id": 7, "ok": true, "code": "...", "from_cache": false,
-     "seconds": 0.41, "schema_version": 1}
+     "seconds": 0.41, "schema_version": 2}
 
 Control requests: ``{"op": "ping"}``, ``{"op": "stats"}`` (per-request
 latency percentiles, hit rates, disk cache occupancy) and
@@ -195,11 +195,13 @@ class CompileServer:
             self.latencies.append(elapsed)
             if result.from_cache:
                 self.cache_hits += 1
+        # every field below is in a cached artifact's served record: a
+        # warm hit never decodes the analysis or builds the node function
         out = {
             "from_cache": result.from_cache,
             "seconds": round(elapsed, 6),
             "schema_version": result.schema_version,
-            "commsets": len(result.spmd.commsets),
+            "commsets": result.spmd.commset_count,
         }
         emit = obj.get("emit", "c")
         if emit == "c":

@@ -13,6 +13,7 @@ import pytest
 
 from repro import block_loop, check_against_sequential, parse
 from repro.codegen import SPMDOptions
+from repro.codegen.spmd import ANALYSIS_FIELDS
 from repro.core import (
     SCHEMA_VERSION,
     SerializeError,
@@ -180,3 +181,172 @@ class TestStatementPickling:
         assert clone.fn is not None
         values = [2.0, 3.0, 4.0, 5.0]
         assert clone.fn(values, {}) == stmt.fn(values, {})
+
+
+def _analysis_loaded(spmd):
+    return [spmd.is_loaded(name) for name in ANALYSIS_FIELDS]
+
+
+def _served_length(blob):
+    """Byte length of the served record at the head of ``blob``."""
+    return len(blob) - pickle.loads(blob)["analysis_bytes"]
+
+
+class TestSplitArtifact:
+    """A blob is a served record followed by the analysis record; a load
+    decodes only the first, the rest waits for its first reader."""
+
+    def test_load_decodes_only_the_served_record(self):
+        _, _, fresh = _compiled(FIG2)
+        clone = load_result(dump_result(fresh))
+        assert _analysis_loaded(clone.spmd) == [False] * 5
+        assert not clone.spmd.is_loaded("node")
+        assert clone.spmd.source == fresh.spmd.source
+        assert clone.spmd.c_text == fresh.spmd.c_text
+        assert clone.spmd.commset_count == len(fresh.spmd.commsets)
+        assert _analysis_loaded(clone.spmd) == [False] * 5
+
+    def test_first_analysis_read_decodes_every_field_and_equals_fresh(self):
+        _, _, fresh = _compiled(FIG2)
+        clone = load_result(dump_result(fresh))
+        clone.spmd.plans
+        assert _analysis_loaded(clone.spmd) == [True] * 5
+        assert results_equal(clone, fresh)
+        # the encoded analysis bytes are dropped once decoded
+        assert "_analysis" not in vars(clone.spmd)
+        assert not clone.spmd.is_loaded("node")
+
+    def test_dump_of_a_lazy_load_round_trips(self):
+        _, comps, fresh = _compiled(FIG2)
+        lazy = load_result(dump_result(fresh))
+        again = load_result(dump_result(lazy))
+        assert results_equal(again, fresh)
+        assert again.poly_stats == fresh.poly_stats
+        assert again.compile_seconds == fresh.compile_seconds
+        outcome = check_against_sequential(
+            again.spmd, comps, {"N": 40, "T": 1, "P": 3}
+        )
+        assert outcome.makespan > 0
+
+    def test_node_is_built_once_on_first_use(self, monkeypatch):
+        from repro.codegen import spmd as spmd_module
+
+        builds = []
+        real = spmd_module.node_from_source
+
+        def counting(source):
+            builds.append(source)
+            return real(source)
+
+        monkeypatch.setattr(spmd_module, "node_from_source", counting)
+        _, comps, fresh = _compiled(FIG2)
+        assert builds == []  # a fresh compile builds node eagerly
+        clone = load_result(dump_result(fresh))
+        assert builds == []
+        node = clone.node
+        assert clone.spmd.node is node
+        outcome = check_against_sequential(
+            clone.spmd, comps, {"N": 40, "T": 1, "P": 3}
+        )
+        assert outcome.makespan > 0
+        assert builds == [fresh.spmd.source]
+
+    @pytest.mark.parametrize(
+        "cut", ["served_end", "analysis_middle", "last_byte"]
+    )
+    def test_blob_cut_inside_the_analysis_record_raises_at_load(self, cut):
+        _, _, fresh = _compiled(FIG2)
+        blob = dump_result(fresh)
+        head = _served_length(blob)
+        end = {
+            "served_end": head,
+            "analysis_middle": (head + len(blob)) // 2,
+            "last_byte": len(blob) - 1,
+        }[cut]
+        with pytest.raises(SerializeError, match="analysis record"):
+            load_result(blob[:end])
+
+    def test_trailing_bytes_raise_at_load(self):
+        _, _, fresh = _compiled(FIG2)
+        with pytest.raises(SerializeError, match="analysis record"):
+            load_result(dump_result(fresh) + b"\0")
+
+
+def _schema1_blob(result):
+    """``result`` in the schema-1 layout: one pickle holding everything."""
+    spmd = result.spmd
+    return pickle.dumps({
+        "schema": 1,
+        "compile_seconds": result.compile_seconds,
+        "poly_stats": dict(result.poly_stats),
+        "spmd": {
+            "program": spmd.program,
+            "space": spmd.space,
+            "tree": spmd.tree,
+            "source": spmd.source,
+            "c_text": spmd.c_text,
+            "commsets": spmd.commsets,
+            "plans": spmd.plans,
+        },
+    }, protocol=4)
+
+
+class TestSchemaOneBlobs:
+    def test_schema1_blob_is_refused(self):
+        _, _, fresh = _compiled(FIG2)
+        with pytest.raises(SerializeError, match="schema 1"):
+            load_result(_schema1_blob(fresh))
+
+    def test_schema1_entry_in_the_disk_cache_is_a_miss_that_recompiles(
+        self, tmp_path
+    ):
+        from repro.polyhedra import diskcache, stats
+
+        program, comps, fresh = _compiled(FIG2)
+        cache_dir = str(tmp_path / "cache")
+        diskcache.DiskCache(cache_dir).put_bytes(
+            "result", job_key(program, comps), _schema1_blob(fresh)
+        )
+        before = stats.snapshot()
+        first = compile_distributed(program, comps, cache_dir=cache_dir)
+        assert not first.from_cache
+        assert stats.delta_since(before)["result_cache_misses"] == 1
+        assert results_equal(first, fresh)
+        # the recompile replaced the stale entry
+        second = compile_distributed(program, comps, cache_dir=cache_dir)
+        assert second.from_cache
+        assert results_equal(second, fresh)
+
+
+def test_concurrent_first_reads_build_each_deferred_field_once():
+    import sys
+    import threading
+
+    _, _, fresh = _compiled(FIG8)
+    blob = dump_result(fresh)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(5):
+            spmd = load_result(blob).spmd
+            barrier = threading.Barrier(8)
+            seen = []
+
+            def read():
+                barrier.wait()
+                seen.append((spmd.program, spmd.commsets, spmd.node))
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 8
+            assert all(
+                got[0] is spmd.program and got[1] is spmd.commsets
+                and got[2] is spmd.node
+                for got in seen
+            )
+    finally:
+        sys.setswitchinterval(interval)

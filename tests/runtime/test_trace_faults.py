@@ -18,8 +18,10 @@ from repro.runtime import (
     Decomposition,
     FaultPlan,
     comm_matrix,
+    match_messages,
     run_spmd,
 )
+from repro.runtime.analysis import unmatched_receives
 
 from .trace_workloads import (
     WORKLOADS,
@@ -234,3 +236,44 @@ class TestCrashTraces:
         assert coop.restarts == default.restarts == 1
         assert same_arrays(default, coop)
         assert coop.trace.normalized() == default.trace.normalized()
+
+
+class TestCorruptedCopyTraces:
+    """A corrupted copy sent without a checksum is consumed as it
+    arrived, so the trace notes it ``corrupted-unchecked`` and it matches
+    its receive; a checksummed one is discarded and never matches."""
+
+    PLAN = dict(seed=4, corrupt_rate=0.05)
+
+    @pytest.mark.parametrize(
+        "mode,checksums,note",
+        [
+            ("direct", False, "corrupted-unchecked"),
+            ("unreliable", None, "corrupted-unchecked"),
+            ("reliable", None, "corrupted"),
+        ],
+    )
+    def test_every_receive_matches_under_corruption(
+        self, mode, checksums, note
+    ):
+        _build, params = WORKLOADS["fig2"]
+        result = run_spmd(
+            compiled_spmd("fig2"), params,
+            fault_plan=FaultPlan(**self.PLAN), reliability=mode,
+            checksums=checksums, trace=True,
+        )
+        trace = result.trace
+        notes = {
+            e.note for e in trace.by_kind("send", "retransmit")
+            if e.note.startswith("corrupted")
+        }
+        assert notes == {note}
+        receives = trace.by_kind("recv-complete")
+        assert len(receives) == 12
+        pairs = match_messages(trace)
+        assert len(pairs) == len(receives)
+        assert unmatched_receives(trace) == []
+        assert all(s.note != "corrupted" for s, _r in pairs)
+        assert comm_matrix(trace).total_corrupted == result.stat_sum(
+            "corruptions_injected"
+        )
