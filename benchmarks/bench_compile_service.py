@@ -4,7 +4,7 @@ A synthetic request stream -- ``REPRO_BENCH_REQUESTS`` (default 10,000)
 compile requests, zipf-skewed over a catalog of the five conformance
 workloads at varied block sizes and options, the way a compile server
 sees a handful of hot programs and a long tail -- is replayed against
-four configurations:
+three configurations:
 
 * ``no_cache``   -- every request is a true cold compile (in-memory
   projection/feasibility caches cleared per request, no disk store);
@@ -13,9 +13,7 @@ four configurations:
   reused;
 * ``disk``       -- the persistent content-addressed store
   (:mod:`repro.polyhedra.diskcache`) serves whole results after one
-  cold pass;
-* ``disk_pool``  -- the same store shared by a ``compile_many`` process
-  pool (requests cross a process boundary and come back as artifacts).
+  cold pass.
 
 Configurations that recompile every request cannot replay 10k requests
 in benchmark time, so they serve a truncated prefix of the *same*
@@ -25,11 +23,8 @@ requests/wall over each config's replay.
 
 Results merge into ``BENCH_poly.json`` as the ``compile_service``
 section (read-modify-write; other benches own the other sections) with
-two regression guards CI enforces:
-
-* warm disk p50 must beat the cold p50 by ``WARM_FLOOR`` (10x);
-* the pooled+cached configuration must sustain ``POOL_FLOOR`` (3x) the
-  cold single-process compiles/sec.
+one regression guard CI enforces: warm disk p50 must beat the cold p50
+by ``WARM_FLOOR`` (10x).
 """
 
 import json
@@ -45,7 +40,6 @@ from repro.polyhedra import (
     feasibility_cache_clear,
     projection_cache_clear,
 )
-from repro.service import compile_many
 from workloads import service_job
 
 BENCH_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCH_poly.json")
@@ -53,13 +47,10 @@ BENCH_JSON = os.path.join(os.path.dirname(__file__), "..", "BENCH_poly.json")
 REQUESTS = int(os.environ.get("REPRO_BENCH_REQUESTS", "10000"))
 #: request budget for configs that pay a full compile per request
 COLD_REQUESTS = max(24, REQUESTS // 250)
-#: request budget for the pooled replay (per-request IPC ~ms)
-POOL_REQUESTS = max(100, REQUESTS // 10)
 ZIPF_S = 1.1
 SEED = 1993
 
 WARM_FLOOR = 10.0
-POOL_FLOOR = 3.0
 
 #: the catalog of distinct jobs: (workload, block, vectorize)
 CATALOG = [
@@ -111,8 +102,9 @@ def _clear_memory_caches():
 
 
 def _compile(job, cache_dir=None):
+    program, comps, options = job
     return compile_distributed(
-        job.program, job.comps, options=job.options, cache_dir=cache_dir
+        program, comps, options=options, cache_dir=cache_dir
     )
 
 
@@ -181,30 +173,12 @@ def replay_disk(trace, cache_dir):
         if idx not in cached_samples:
             cached_samples[idx] = result
         assert result.from_cache, (
-            f"warm replay of {jobs[idx].label} missed the result cache"
+            f"warm replay of {CATALOG[idx]} missed the result cache"
         )
     wall = time.perf_counter() - start
     warm = _row("disk", warm_lat, wall, len(trace))
     pairs = [(fresh[idx], cached_samples[idx]) for idx in cached_samples]
     return cold, warm, pairs
-
-
-def replay_disk_pool(trace, cache_dir):
-    """The pooled replay: requests cross a process boundary, workers
-    share the (already warm) persistent store."""
-    subset = trace[:POOL_REQUESTS]
-    jobs = [service_job(*CATALOG[idx]) for idx in subset]
-    start = time.perf_counter()
-    batch = compile_many(jobs, workers=2, cache_dir=cache_dir)
-    wall = time.perf_counter() - start
-    return _row(
-        "disk_pool",
-        [r.compile_seconds for r in batch],
-        wall,
-        len(jobs),
-        note=f"truncated to {POOL_REQUESTS} of {len(trace)} requests; "
-        "latencies are in-worker, compiles/sec includes IPC",
-    ), batch
 
 
 def _merge_into_bench_json(section):
@@ -226,27 +200,13 @@ def test_compile_service_replay(report):
         rows = [replay_no_cache(trace), replay_memory(trace)]
         cold, warm, pairs = replay_disk(trace, cache_dir)
         rows += [cold, warm]
-        pool_row, batch = replay_disk_pool(trace, cache_dir)
-        rows.append(pool_row)
 
-        # cached and pooled artifacts must be bit-identical to fresh
+        # cached artifacts must be bit-identical to fresh
         for fresh_result, cached in pairs:
             assert results_equal(fresh_result, cached)
-        jobs = [service_job(*spec) for spec in CATALOG]
-        for idx, result in zip(trace[:POOL_REQUESTS], batch):
-            assert result.from_cache
-        fresh_by_idx = {}
-        for idx, result in zip(trace[:POOL_REQUESTS], batch):
-            if idx not in fresh_by_idx:
-                fresh_by_idx[idx] = _compile(jobs[idx])
-            assert results_equal(fresh_by_idx[idx], result)
 
         by = {r["config"]: r for r in rows}
         warm_speedup = by["disk_cold"]["p50_ms"] / by["disk"]["p50_ms"]
-        pool_ratio = (
-            by["disk_pool"]["compiles_per_sec"]
-            / by["no_cache"]["compiles_per_sec"]
-        )
 
         report("Compile service: zipf replay over the conformance catalog")
         report(
@@ -270,10 +230,6 @@ def test_compile_service_replay(report):
             f"warm disk p50 over cold p50:        "
             f"{warm_speedup:.1f}x (floor {WARM_FLOOR:.0f}x)"
         )
-        report(
-            f"disk+pool over cold compiles/sec:   "
-            f"{pool_ratio:.1f}x (floor {POOL_FLOOR:.0f}x)"
-        )
 
         _merge_into_bench_json(
             {
@@ -284,8 +240,6 @@ def test_compile_service_replay(report):
                 "guards": {
                     "warm_over_cold_p50": round(warm_speedup, 2),
                     "warm_floor": WARM_FLOOR,
-                    "pool_over_cold_rate": round(pool_ratio, 2),
-                    "pool_floor": POOL_FLOOR,
                 },
             }
         )
@@ -293,10 +247,6 @@ def test_compile_service_replay(report):
         assert warm_speedup >= WARM_FLOOR, (
             f"warm disk p50 only {warm_speedup:.1f}x cold "
             f"(floor {WARM_FLOOR:.0f}x)"
-        )
-        assert pool_ratio >= POOL_FLOOR, (
-            f"disk+pool only {pool_ratio:.1f}x cold compiles/sec "
-            f"(floor {POOL_FLOOR:.0f}x)"
         )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)

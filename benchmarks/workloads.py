@@ -10,7 +10,6 @@ from repro.polyhedra import (
     var,
 )
 from repro.runtime import CostModel
-from repro.service import CompileJob
 
 FIG2_SRC = """
 array X[N + 1]
@@ -150,7 +149,7 @@ def lu_linexpr_constructions():
 
 
 def service_job(workload, block=16, vectorize=False):
-    """One :class:`repro.service.CompileJob` for a conformance workload.
+    """``(program, comps, options)`` for a conformance workload.
 
     The five workloads are the same programs and decompositions the
     conformance suites pin; ``block`` (ignored for LU, which maps
@@ -158,14 +157,13 @@ def service_job(workload, block=16, vectorize=False):
     distinct compile jobs can be drawn from them.
     """
     options = SPMDOptions(vectorize=vectorize)
-    tag = f"{workload}/b{block}" + ("v" if vectorize else "")
     if workload == "lu":
         program = parse(LU_SRC, name="lu")
         s1 = program.statement("s1")
         s2 = program.statement("s2")
         comps = {"s1": onto(s1, [var("i2")])}
         comps["s2"] = onto(s2, [var("i2")], space=comps["s1"].space)
-        return CompileJob(program, comps, options=options, label=tag)
+        return program, comps, options
     if workload == "pipe":
         program = parse(PIPE_SRC, name="pipe")
         s1 = program.statement("s1")
@@ -174,14 +172,14 @@ def service_job(workload, block=16, vectorize=False):
         comps["s2"] = block_loop(
             s2, ["j"], [block], space=comps["s1"].space
         )
-        return CompileJob(program, comps, options=options, label=tag)
+        return program, comps, options
     src = {"fig2": FIG2_SRC, "fig8": FIG8_SRC, "stencil": STENCIL_SRC}[
         workload
     ]
     program = parse(src, name=workload)
     stmt = program.statements()[0]
     comps = {stmt.name: block_loop(stmt, ["i"], [block])}
-    return CompileJob(program, comps, options=options, label=tag)
+    return program, comps, options
 
 
 def stencil_compiled(block_size=32, options=None, n=None, p=None):

@@ -77,7 +77,7 @@ def compile_distributed(
     ``cache_dir`` activates the persistent content-addressed cache for
     the duration of this call (FM projections, feasibility verdicts and
     the whole result flow through it); when omitted, whatever cache the
-    process already activated (server mode, pool workers) is used.
+    context already activated (server mode) is used.
     Cached results are bit-identical to fresh compiles -- see
     ``repro.core.serialize.results_equal`` and DESIGN.md section 15.
     """

@@ -52,8 +52,8 @@ class Statement:
     #: picklable recipe for rebuilding ``fn`` (the parser's RHS AST; see
     #: :func:`repro.lang.parser.compile_fn_spec`).  ``fn`` itself is a
     #: closure and cannot be pickled; statements with an ``fn_spec``
-    #: round-trip through the compile cache and batch workers, ones
-    #: built directly from Python callables do not.
+    #: round-trip through the compile cache, ones built directly from
+    #: Python callables do not.
     fn_spec: Optional[tuple] = None
 
     #: the generated ``kernel(arrays, env)``, built by :meth:`kernel` on

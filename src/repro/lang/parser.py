@@ -131,8 +131,8 @@ def compile_fn_spec(spec) -> Callable:
     ``spec`` is ``("expr", rhs_ast)`` for plain assignments or
     ``("cond", rhs_ast, cond_ast, lhs_index)`` for guarded ones -- the
     picklable record the parser leaves on every Statement so compiled
-    programs can round-trip through the compile cache and the batch
-    workers (closures themselves cannot be pickled).
+    programs can round-trip through the compile cache (closures
+    themselves cannot be pickled).
     """
     kind = spec[0]
     if kind == "expr":

@@ -3,7 +3,7 @@
 PR 2's projection cache and feasibility memo die with the process; this
 module gives them -- and whole ``CompileResult`` artifacts -- a shared
 on-disk tier, so repeated compiles of overlapping loop nests across
-processes, server requests and pool workers pay cold cost once.
+processes and server requests pay cold cost once.
 
 Layout and invariants:
 
@@ -18,7 +18,7 @@ Layout and invariants:
   disk; it must never crash a compile.
 * Writers write a private temp file in the same directory and
   ``os.replace`` it into place -- atomic on POSIX -- so concurrent
-  writers (a process pool warming one cache) can only ever publish
+  writers (several processes warming one cache) can only ever publish
   whole entries.  Two writers racing on one key publish identical
   content, so either winner is correct.
 * ``max_bytes`` caps the store; eviction is LRU on file mtimes (reads
@@ -275,10 +275,7 @@ class DiskCache:
 #: each thread (and each asyncio task) sees its own activation, so the
 #: threaded TCP server's per-request ``activated`` scopes cannot
 #: interleave -- one connection's exit can never null out or repoint
-#: the cache another connection is compiling against.  Pool workers are
-#: unaffected: ``ProcessPoolExecutor`` runs the initializer and every
-#: task on the worker's main thread, so ``activate`` in the initializer
-#: is visible to all of that worker's compiles.
+#: the cache another connection is compiling against.
 _ACTIVE: contextvars.ContextVar[Optional[DiskCache]] = (
     contextvars.ContextVar("repro_diskcache_active", default=None)
 )

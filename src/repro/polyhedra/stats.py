@@ -5,8 +5,8 @@ paper's Section 5.1 warns that naive FM floods the system with mostly
 redundant constraints), so every benchmark should be able to report
 *why* compile time moved.  This module keeps one process-wide set of
 counters, incremented by :mod:`repro.polyhedra.fourier_motzkin`,
-:mod:`repro.polyhedra.omega`, :mod:`repro.polyhedra.simplify`,
-:mod:`repro.polyhedra.symbolic` and :mod:`repro.codegen.genloops`.
+:mod:`repro.polyhedra.omega`, :mod:`repro.polyhedra.simplify` and
+:mod:`repro.codegen.genloops`.
 
 ``compile_distributed`` snapshots the counters around a compilation and
 exposes the per-compile delta on ``CompileResult.poly_stats``; the CLI
@@ -55,9 +55,6 @@ class PolyStats:
     result_cache_misses: int = 0
     #: largest constraint count seen in any intermediate system.
     peak_system_size: int = 0
-    #: symbolic-coefficient FM pair counts (repro.polyhedra.symbolic).
-    symbolic_pairs_considered: int = 0
-    symbolic_pairs_materialized: int = 0
     #: communication sets built / discarded as integer-empty.
     commsets_built: int = 0
     commsets_empty_pruned: int = 0
@@ -157,8 +154,6 @@ def summary(stats: Dict[str, int] | None = None) -> str:
         ]
     lines += [
         f"  peak system size:       {s['peak_system_size']} constraints",
-        f"  symbolic FM pairs:      {s['symbolic_pairs_considered']} "
-        f"considered, {s['symbolic_pairs_materialized']} materialized",
         f"  commsets:               {s['commsets_built']} built, "
         f"{s['commsets_empty_pruned']} empty (pruned)",
         f"  codegen volume:         {s['codegen_loops_emitted']} loops, "

@@ -58,6 +58,7 @@ pc=0 baseline is never corrupted, so recovery always terminates.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Dict, List, Optional, Tuple
@@ -227,7 +228,7 @@ class CheckpointStore:
         snap = Snapshot(
             pc=proc._pc,
             clock=proc.clock,
-            stats=proc.stats.to_stats(),
+            stats=dataclasses.replace(proc.stats),
             arrays=arrays,
             next_seq=dict(proc._next_seq),
             seen_seqs=set(proc._seen_seqs),

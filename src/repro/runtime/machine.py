@@ -40,10 +40,11 @@ Reliability layers (see DESIGN.md "Runtime reliability"):
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import time
 from collections import deque
-from dataclasses import dataclass, field, fields as _dc_fields
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -109,7 +110,7 @@ class CostModel:
     fence_time: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class ProcStats:
     messages_sent: int = 0
     words_sent: int = 0
@@ -161,101 +162,6 @@ class ProcStats:
     #: model time spent at fences (``CostModel.fence_time`` per fenced
     #: receive, plus the checksum portion when self-checking is priced)
     fence_time: float = 0.0
-
-
-#: ProcStats field names in declaration order -- the column order of
-#: :class:`StatsArray`
-_STAT_FIELDS: Tuple[str, ...] = tuple(f.name for f in _dc_fields(ProcStats))
-#: fields whose attribute API is integral (event counts); the rest are
-#: model-time accumulators
-_INT_STATS = frozenset(
-    f.name for f in _dc_fields(ProcStats) if isinstance(f.default, int)
-)
-
-
-class StatsArray:
-    """Array-of-struct backing store for every rank's statistics.
-
-    One ``(P, len(_STAT_FIELDS))`` float64 block per run replaces P
-    dataclass instances (DESIGN.md §13): cheap to allocate at P=1024
-    and trivially reducible by column.  Ranks access their row through
-    :class:`ProcStatsView`, which preserves the ``ProcStats`` attribute
-    API exactly -- counts stay exact because every counter fits
-    float64's 2**53 contiguous-integer range with astronomical margin.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, nranks: int):
-        self.data = np.zeros((nranks, len(_STAT_FIELDS)))
-
-    def view(self, row: int) -> "ProcStatsView":
-        return ProcStatsView(self.data[row])
-
-
-class ProcStatsView:
-    """One rank's statistics: a view into a :class:`StatsArray` row
-    (or a standalone row), attribute-compatible with ``ProcStats``."""
-
-    __slots__ = ("_row",)
-
-    def __init__(self, row: Optional[np.ndarray] = None):
-        self._row = row if row is not None else np.zeros(len(_STAT_FIELDS))
-
-    def to_stats(self) -> ProcStats:
-        """A detached plain-``ProcStats`` copy (e.g. for snapshots)."""
-        return ProcStats(
-            **{name: getattr(self, name) for name in _STAT_FIELDS}
-        )
-
-    def load(self, stats) -> None:
-        """Overwrite this row from a ``ProcStats`` or another view."""
-        if isinstance(stats, ProcStatsView):
-            self._row[:] = stats._row
-        else:
-            row = self._row
-            for i, name in enumerate(_STAT_FIELDS):
-                row[i] = getattr(stats, name)
-
-    def reset(self) -> None:
-        self._row[:] = 0.0
-
-    def __eq__(self, other):
-        if isinstance(other, ProcStatsView):
-            return bool(np.array_equal(self._row, other._row))
-        if isinstance(other, ProcStats):
-            return all(
-                getattr(self, name) == getattr(other, name)
-                for name in _STAT_FIELDS
-            )
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        body = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in _STAT_FIELDS
-        )
-        return f"ProcStatsView({body})"
-
-
-def _stat_property(idx: int, integral: bool) -> property:
-    if integral:
-        def fget(self):
-            return int(self._row.item(idx))
-    else:
-        def fget(self):
-            return self._row.item(idx)
-
-    def fset(self, value):
-        self._row[idx] = value
-
-    return property(fget, fset)
-
-
-for _idx, _name in enumerate(_STAT_FIELDS):
-    setattr(ProcStatsView, _name, _stat_property(_idx, _name in _INT_STATS))
-del _idx, _name
 
 
 class _LightMailbox:
@@ -357,9 +263,7 @@ class Processor:
         self.params: Dict[str, int] = dict(machine.params)
         self.pdims = machine.pshape
         self.clock = 0.0
-        # a standalone row by default; Machine.run/_local_recover rebind it
-        # to the machine's shared StatsArray block (DESIGN.md §13)
-        self.stats = ProcStatsView()
+        self.stats = ProcStats()
         self.mailbox = _LightMailbox()
         self._stash: Dict[tuple, Tuple[List[float], float]] = {}
         self._mc_cache: Dict[tuple, List[float]] = {}
@@ -877,7 +781,8 @@ class Processor:
             for tag, (payload, arrival) in snap.stash.items()
         }
         self._mc_cache = dict(snap.mc_cache)
-        self.stats.load(snap.stats)
+        # a copy: a rank can restore twice from one snapshot
+        self.stats = dataclasses.replace(snap.stats)
         self._next_cp_time = snap.next_cp_time
         self.clock = self._resume_clock
         # the jump from the snapshot's clock to the resume clock is
@@ -999,9 +904,6 @@ class Machine:
         self.rank_order: List[Tuple[int, ...]] = sorted(
             tuple(c) for c in space.all_physical(self.params)
         )
-        self.rank_id: Dict[Tuple[int, ...], int] = {
-            c: i for i, c in enumerate(self.rank_order)
-        }
         #: interned coordinate tuples: one canonical instance per rank,
         #: so per-message channel keys (sequence counters, ARQ timers,
         #: dedup sets) hit dict lookup's pointer-equality fast path
@@ -1018,8 +920,6 @@ class Machine:
         #: every successful mailbox delivery, so parked coroutines are
         #: flagged for wakeup instead of polled
         self._delivery_watcher: Optional[Callable] = None
-        #: StatsArray block for the current run
-        self._stats_block: Optional[StatsArray] = None
         self.cost = cost or CostModel()
         self.timeout = timeout
         self.fault_plan = fault_plan
@@ -1220,7 +1120,6 @@ class Machine:
         )
         self._fired_crashes = set()
         golden = allocate_arrays(self.program, self.params, seed)
-        self._stats_block = StatsArray(len(coords))
         self.procs = {
             myp: Processor(
                 self,
@@ -1229,10 +1128,6 @@ class Machine:
             )
             for myp in coords
         }
-        for idx, myp in enumerate(coords):
-            # rebind each rank's stats to its row of the shared
-            # array-of-struct block (fresh zeros, same attribute API)
-            self.procs[myp].stats = self._stats_block.view(idx)
         if self.checkpoints is not None:
             for proc in self.procs.values():
                 self.checkpoints.baseline(proc)
@@ -1354,8 +1249,6 @@ class Machine:
             myp,
             {name: arr.copy() for name, arr in snap.arrays.items()},
         )
-        proc.stats = self._stats_block.view(self.rank_id[myp])
-        proc.stats.reset()
         proc._incarnation = incarnation
         proc._ff_target = snap.pc
         proc._resume_clock = resume

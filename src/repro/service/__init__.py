@@ -1,19 +1,15 @@
-"""Compiler-as-a-service layer: parallel batch compilation and the
-long-lived ``repro serve`` entrypoint.
+"""Compiler-as-a-service layer: the long-lived ``repro serve``
+entrypoint.
 
-Both build on the persistent content-addressed cache
-(:mod:`repro.polyhedra.diskcache`): pool workers warm one shared cache
-directory, and the server amortizes in-memory caches across requests.
+It builds on the persistent content-addressed cache
+(:mod:`repro.polyhedra.diskcache`): the server amortizes in-memory
+caches across requests and serves whole results from the store.
 """
 
-from .batch import BatchResult, CompileJob, compile_many
 from .server import CompileServer, serve_stdio, serve_tcp
 
 __all__ = [
-    "BatchResult",
-    "CompileJob",
     "CompileServer",
-    "compile_many",
     "serve_stdio",
     "serve_tcp",
 ]

@@ -10,6 +10,8 @@ the crashed rank's duplicate re-sends are absorbed by the existing
 ARQ/stash dedup.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +195,35 @@ class TestCrashDuringRecovery:
         assert second.model_time < first.model_time + \
             CostModel().restart_penalty
         assert same_arrays(base, res)
+
+    def test_repeated_restores_keep_the_decomposition_exact(self):
+        """A rank that crashes twice can restore twice from one
+        snapshot; each restore must start from a copy of the snapshot's
+        stats, or the first incarnation's work leaks into the second
+        and the stat buckets no longer sum to the finish clock."""
+        from repro.codegen import SPMDOptions
+        from repro.runtime.analysis import decompose
+        from tests.runtime.trace_workloads import WORKLOADS
+
+        repeat_crashes = 0
+        for name in ("lu", "fig2", "fig8"):
+            build, params = WORKLOADS[name]
+            spmd = build(SPMDOptions())
+            for seed in range(12):
+                res = run_spmd(
+                    spmd, params,
+                    reliability="reliable",
+                    checkpoint=CheckpointPolicy(every_ops=40),
+                    fault_plan=FaultPlan(seed=seed, crash_rate=0.03),
+                    max_restarts=50,
+                )
+                crashes = Counter(e.myp for e in res.crash_events)
+                repeat_crashes += sum(n >= 2 for n in crashes.values())
+                for rank, parts in decompose(res).items():
+                    assert parts.total() == res.clocks[rank], (
+                        name, seed, rank
+                    )
+        assert repeat_crashes >= 1
 
     def test_gives_up_past_the_restart_budget(self):
         from repro.runtime import CrashError

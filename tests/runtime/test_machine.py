@@ -1,15 +1,20 @@
 """Machine simulator unit tests: cost model, clocks, channels, stats."""
 
+import dataclasses
+
 import pytest
 
-from repro.codegen import generate_spmd
+from repro.codegen import SPMDOptions, generate_spmd
 from repro.decomp import ProcSpace, block_loop, cyclic
 from repro.ir import allocate_arrays
 from repro.lang import parse
 from repro.runtime import (
+    CheckpointPolicy,
     CostModel,
     DeadlockError,
+    FaultPlan,
     Machine,
+    ProcStats,
     run_spmd,
 )
 
@@ -178,3 +183,37 @@ class TestInitialArrays:
         machine = Machine(prog, comp.space, {"N": 70, "T": 0, "P": 2})
         mine = machine.initial_arrays((1,), None, seed=0)
         assert not np.isnan(mine["X"]).any()
+
+
+class TestProcStats:
+    def test_fields_keep_their_builtin_types(self):
+        """Counts stay ``int`` and model times ``float`` on every path:
+        vectorized compute checks ``compute_time.is_integer()``, which
+        ``int`` lacks on Python 3.11."""
+        from tests.runtime.trace_workloads import WORKLOADS
+
+        # seed 0 drops, duplicates and corrupts copies, and crashes
+        # ranks, on both workloads
+        faults = [
+            {},
+            {"fault_plan": FaultPlan(seed=0, drop_rate=0.1, dup_rate=0.1,
+                                     reorder_rate=0.1, corrupt_rate=0.1)},
+            {"fault_plan": FaultPlan(seed=0, crash_rate=0.03),
+             "checkpoint": CheckpointPolicy(every_ops=40),
+             "max_restarts": 50},
+        ]
+        for name in ("fig2", "lu"):
+            build, params = WORKLOADS[name]
+            for vectorize in (False, True):
+                spmd = build(SPMDOptions(vectorize=vectorize))
+                for kw in faults:
+                    result = run_spmd(
+                        spmd, params, reliability="reliable", **kw
+                    )
+                    for stats in result.stats.values():
+                        assert type(stats) is ProcStats
+                        for f in dataclasses.fields(ProcStats):
+                            value = getattr(stats, f.name)
+                            assert type(value) is type(f.default), (
+                                name, vectorize, kw, f.name
+                            )

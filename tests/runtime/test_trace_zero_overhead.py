@@ -77,8 +77,7 @@ class TestSeedGoldens:
         assert result.total_words == golden["total_words"]
         for myp in sorted(result.stats):
             want = golden["stats"][repr(myp)]
-            # stats are array-backed views; detach to a plain dataclass
-            got = dataclasses.asdict(result.stats[myp].to_stats())
+            got = dataclasses.asdict(result.stats[myp])
             for key, value in want.items():
                 assert got[key] == value, (
                     f"{name} {myp}: ProcStats.{key} was {value} at the "

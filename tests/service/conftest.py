@@ -1,4 +1,4 @@
-"""Shared builders: the five conformance workloads as CompileJobs.
+"""Shared builders: the five conformance workloads as compile requests.
 
 Built from the same :data:`repro.runtime.chaos.WORKLOADS` scenario data
 the trace-invariant and chaos suites pin, so "bit-identical across the
@@ -6,16 +6,14 @@ conformance workloads" here means exactly those programs and
 decompositions.
 """
 
-import pytest
-
 from repro.decomp import block_loop, onto
 from repro.lang import parse
 from repro.polyhedra import var
 from repro.runtime.chaos import WORKLOADS
-from repro.service import CompileJob
 
 
-def conformance_job(name: str) -> CompileJob:
+def conformance_job(name: str):
+    """``(program, comps)`` for one conformance workload."""
     scenario = WORKLOADS[name]
     program = parse(scenario.source, name=scenario.name)
     comps = {}
@@ -41,9 +39,4 @@ def conformance_job(name: str) -> CompileJob:
                 else block_loop(stmt, list(spec["vars"]),
                                 list(spec["sizes"]))
             )
-    return CompileJob(program, comps, label=name)
-
-
-@pytest.fixture(scope="module")
-def conformance_jobs():
-    return [conformance_job(name) for name in sorted(WORKLOADS)]
+    return program, comps
