@@ -73,7 +73,11 @@ def _opaque(name: str, args: List[float]) -> float:
     """Deterministic nonlinear stand-in for an unknown function call."""
     seed = sum(ord(ch) for ch in name)
     mixed = sum((k + 1.3) * a for k, a in enumerate(args))
-    return math.sin(seed + mixed) * 0.25 + (sum(args) / max(len(args), 1))
+    phase = seed + mixed
+    # sin(+-inf) is NaN in IEEE arithmetic; math.sin raises instead, which
+    # would abort a run whose values overflow
+    wave = math.sin(phase) if math.isfinite(phase) else math.nan
+    return wave * 0.25 + (sum(args) / max(len(args), 1))
 
 
 _BINOPS: Dict[str, Callable[[float, float], float]] = {

@@ -12,7 +12,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.ir import (
@@ -240,6 +240,13 @@ def nest_sources(draw):
 class TestCompiledNest:
     @settings(max_examples=60, deadline=None)
     @given(nest_sources())
+    @example((  # the product overflows to inf before the call to f
+        "array A[40]\narray B[12][12]\n"
+        "for i1 = 1 to N do\n  s1: A[i1 + 0] = A[i1 + 0] + 0\n"
+        "for i2 = 1 to N do\n  for j2 = 1 to 6 do\n"
+        "    s2: A[i2 + 3] = f(A[i2 + 2] * A[i2 + 3] + A[i2 + 0], i2) + 0\n",
+        6, [],
+    ))
     def test_random_nests_match_the_tree_walk(self, case):
         source, n, raw = case
         program = parse(source)
