@@ -83,7 +83,7 @@ def compiled_sweep():
             _prog, _comps, spmd = build(
                 n=n, p=p, options=SPMDOptions(vectorize=vec)
             )
-            runs[vec] = run_spmd(spmd, params, cost=IPSC, timeout=600.0)
+            runs[vec] = run_spmd(spmd, params, cost=IPSC)
         if check_scalar:
             _assert_identical(f"{wname} P={p} scalar", runs[True], runs[False])
         rows.append(_row(wname, p, runs[True]))
@@ -94,10 +94,7 @@ def _ring_machine(p):
     prog = parse(RING_SRC)
     stmt = prog.statements()[0]
     comp = block_loop(stmt, ["i"], [32])
-    return Machine(
-        prog, comp.space, {"N": 32 * p - 1, "T": 0, "P": p},
-        timeout=120.0,
-    )
+    return Machine(prog, comp.space, {"N": 32 * p - 1, "T": 0, "P": p})
 
 
 def ring_node(proc):

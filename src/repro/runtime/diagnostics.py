@@ -1,19 +1,16 @@
 """Progress monitoring and deadlock diagnostics for the simulator.
 
-A stuck node program is diagnosed by a *central wait-for audit*, the
-standard distributed-runtime construction:
+A stuck node program is diagnosed by a *central wait-for audit*:
 
 * every processor registers with the monitor when it parks on a
   receive (and deregisters when it wakes or exits);
-* the machine reports every copy entering a mailbox
-  (``deliver_envelope``) and every copy leaving one
-  (``record_dequeued``), so the monitor tracks the global *in-flight*
-  count exactly;
-* **true deadlock** -- every live processor blocked in ``recv`` while
-  the in-flight set is empty -- is therefore detectable the instant the
-  last processor blocks, with no timers involved.  The monitor builds
-  a structured :class:`DeadlockReport` and puts a poison pill in every
-  blocked peer's mailbox, which the scheduler turns into failures.
+* the transport reports every logical message's fate and the node
+  program every receive it consumed;
+* **true deadlock** is decided by the scheduler, which drives every
+  rank: when no rank is runnable and draining every parked mailbox
+  satisfies nobody, no message can ever arrive.  It then takes one
+  :class:`DeadlockReport` from the monitor and fails every waiting
+  rank with it.
 
 The report carries what an operator actually needs: each processor's
 model clock, the tag it is waiting for, what is sitting unread in its
@@ -34,7 +31,6 @@ __all__ = [
     "DeadlockReport",
     "ProcSnapshot",
     "ProgressMonitor",
-    "WAKE",
 ]
 
 
@@ -128,17 +124,6 @@ class CrashError(Exception):
         self.report = report
 
 
-class _WakeSignal:
-    """Poison pill pushed into blocked mailboxes on deadlock."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return "<deadlock wake signal>"
-
-
-#: singleton instance; the scheduler checks identity against it.
-WAKE = _WakeSignal()
-
-
 @dataclass
 class ProcSnapshot:
     """One processor's state at diagnosis time."""
@@ -211,25 +196,19 @@ class DeadlockReport:
 class ProgressMonitor:
     """Central wait-for audit over one :class:`~.machine.Machine` run.
 
-    The scheduler drives every rank on one thread, so each mutation and
-    the deadlock test that could follow from it run back to back.
+    Bookkeeping only: the scheduler, which drives every rank on one
+    thread, decides when no rank can progress and asks for the report.
     """
 
     def __init__(self, machine) -> None:
         self.machine = machine
-        self.reset(total=None)
+        self.reset()
 
-    def reset(self, total: Optional[int]) -> None:
-        """Arm the monitor for a run of ``total`` processors (``None``
-        disables detection: bookkeeping only, e.g. manual harnesses)."""
-        self.total = total
+    def reset(self) -> None:
+        """Forget every rank's state and the send/recv audit."""
         self.blocked: Dict[Tuple[int, ...], tuple] = {}
         self.finished: set = set()
         self.failed: set = set()
-        self.in_flight = 0
-        #: set once a true deadlock is proven (WAKE pills pushed)
-        self.deadlocked = False
-        self.report: Optional[DeadlockReport] = None
         self._sends: List[tuple] = []  # (src, dest, tag, delivered)
         self._recvs: List[tuple] = []  # (dest, tag)
 
@@ -240,20 +219,14 @@ class ProgressMonitor:
         self._sends.append((tuple(src), tuple(dest), tag, delivered))
 
     def deliver_envelope(self, dest, envelope) -> bool:
-        """Count and enqueue one copy, or discard it when the
-        destination already exited (finished, failed, or crashed): a
-        copy parked forever in a mailbox nobody drains would blind the
-        deadlock detector (``in_flight`` never returns to 0)."""
+        """Enqueue one copy, or discard it when the destination already
+        exited (finished, failed, or crashed): nobody would ever drain
+        it."""
         dest = tuple(dest)
         if dest in self.finished:
             return False
-        self.in_flight += 1
-        self.machine.procs[dest].mailbox.put(envelope)
+        self.machine.procs[dest].mailbox.append(envelope)
         return True
-
-    def record_dequeued(self) -> None:
-        """A physical copy left a mailbox (stashed or dedup-dropped)."""
-        self.in_flight -= 1
 
     def record_recv(self, dest, tag) -> None:
         """The node program consumed a message."""
@@ -262,60 +235,23 @@ class ProgressMonitor:
     # -- processor lifecycle -------------------------------------------------
 
     def block(self, myp: Tuple[int, ...], tag: tuple) -> None:
-        """``myp`` is about to wait for ``tag``; may diagnose deadlock."""
+        """``myp`` is about to wait for ``tag``."""
         self.blocked[myp] = tag
-        self._check()
 
     def unblock(self, myp: Tuple[int, ...]) -> None:
         self.blocked.pop(myp, None)
 
     def finish(self, myp: Tuple[int, ...], clean: bool = True) -> None:
-        """``myp``'s node program exited (cleanly or with an error); a
-        death can complete a deadlock for the survivors, so re-check.
-
-        The processor's mailbox is drained: whatever is still parked
-        there will never be dequeued, so it must leave the in-flight
-        count for the deadlock test to stay exact (this is what lets a
-        crashed processor's unread messages complete a deadlock
-        diagnosis for the survivors instantly).
-        """
+        """``myp``'s node program exited (cleanly or with an error).
+        Whatever is still in its mailbox will never be read, so it is
+        dropped.  Idempotent."""
         self.blocked.pop(myp, None)
         self.finished.add(myp)
         if not clean:
             self.failed.add(myp)
-        self._drain(myp)
-        self._check()
+        self.machine.procs[myp].mailbox.clear()
 
-    def replace_proc(self, myp, fresh) -> None:
-        """Swap in a freshly restored incarnation of ``myp`` (local
-        recovery).  The old incarnation's mailbox is drained first --
-        every copy parked there is also in the sender log and will be
-        re-injected by the caller -- so each copy stays counted
-        exactly once."""
-        self._drain(myp)
-        self.machine.procs[myp] = fresh
-
-    def _drain(self, myp: Tuple[int, ...]) -> None:
-        proc = self.machine.procs.get(myp)
-        if proc is None:
-            return
-        for item in proc.mailbox.drain():
-            if item is not WAKE:
-                self.in_flight -= 1
-
-    # -- detection -----------------------------------------------------------
-
-    def _check(self) -> None:
-        if self.total is None or self.deadlocked:
-            return
-        if not self.blocked or self.in_flight != 0:
-            return
-        if len(self.blocked) + len(self.finished) < self.total:
-            return  # somebody is still computing
-        self.report = self.build_report()
-        self.deadlocked = True
-        for myp in self.blocked:
-            self.machine.procs[myp].mailbox.put(WAKE)
+    # -- the report ----------------------------------------------------------
 
     def build_report(self) -> DeadlockReport:
         """Snapshot of every processor and the send/recv audit."""
@@ -351,7 +287,9 @@ class ProgressMonitor:
             )
         return DeadlockReport(
             procs=procs,
-            in_flight=self.in_flight,
+            in_flight=sum(
+                len(proc.mailbox) for proc in self.machine.procs.values()
+            ),
             sends_delivered=delivered_n,
             sends_dropped=dropped_n,
             recvs_completed=len(self._recvs),

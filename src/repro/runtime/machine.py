@@ -27,9 +27,9 @@ Reliability layers (see DESIGN.md "Runtime reliability"):
   `reliable` = ack/retransmit ARQ that survives the faults,
   `onesided` = the same ARQ traced as puts);
 * faults come from a deterministic :class:`~.faults.FaultPlan`;
-* a central :class:`~.diagnostics.ProgressMonitor` detects true
-  deadlock (all live processors blocked in ``recv`` with an empty
-  in-flight set) instantly and reports it with a structured audit;
+* the scheduler detects true deadlock (no rank runnable, every parked
+  mailbox drained, nobody satisfied) the moment it happens and reports
+  it with a :class:`~.diagnostics.ProgressMonitor` audit;
 * **fail-stop crashes** (``FaultPlan.crash_rate`` / ``crashes``) kill a
   processor mid-program; the scheduler restarts only that processor
   from its last :mod:`~.checkpoint` snapshot, re-serves its messages
@@ -164,29 +164,6 @@ class ProcStats:
     fence_time: float = 0.0
 
 
-class _LightMailbox:
-    """A rank's incoming wire copies, oldest first: a plain deque (one
-    thread drives every rank, so no locking)."""
-
-    __slots__ = ("_items",)
-
-    def __init__(self):
-        self._items = deque()
-
-    def put(self, item) -> None:
-        self._items.append(item)
-
-    def drain(self):
-        """Pop and yield every queued item, oldest first.  Items left
-        unconsumed when the caller stops stay queued."""
-        items = self._items
-        while items:
-            yield items.popleft()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 @dataclass
 class RunResult:
     arrays: Dict[Tuple[int, ...], Dict[str, np.ndarray]]
@@ -264,7 +241,8 @@ class Processor:
         self.pdims = machine.pshape
         self.clock = 0.0
         self.stats = ProcStats()
-        self.mailbox = _LightMailbox()
+        #: incoming wire copies, oldest first
+        self.mailbox: deque = deque()
         self._stash: Dict[tuple, Tuple[List[float], float]] = {}
         self._mc_cache: Dict[tuple, List[float]] = {}
         self._stmts = {s.name: s for s in machine.program.statements()}
@@ -579,7 +557,6 @@ class Processor:
         and the channel would wedge.
         """
         machine = self.machine
-        machine.monitor.record_dequeued()
         if not envelope.verify():
             if machine.transport.arq:
                 # ARQ: drop the rotten copy; the unacked sender times
@@ -593,10 +570,6 @@ class Processor:
                         tag=envelope.tag, peer=tuple(envelope.src),
                         seq=envelope.seq, incarnation=self._incarnation,
                     ))
-                # the dropped copy never escaped: both its buffer and
-                # its shell go back to the pool
-                machine.recycle_payload(envelope.payload)
-                machine.recycle_envelope(envelope)
                 return
             raise CorruptionError(
                 self.myp, envelope.src, envelope.tag, envelope.seq
@@ -615,13 +588,16 @@ class Processor:
                         peer=tuple(envelope.src), seq=envelope.seq,
                         incarnation=self._incarnation,
                     ))
-                machine.recycle_payload(envelope.payload)
-                machine.recycle_envelope(envelope)
                 return
             self._seen_seqs.add(seen_key)
         self._stash[envelope.tag] = (envelope.payload, envelope.arrival)
-        # the payload now belongs to the stash; the shell is dead
-        machine.recycle_envelope(envelope)
+
+    def _accept_mailbox(self) -> None:
+        """Accept every queued copy into the stash, oldest first.  A
+        copy whose accept raises leaves the later ones queued."""
+        mailbox = self.mailbox
+        while mailbox:
+            self._recv_accept(mailbox.popleft())
 
     def _recv_finish(self, tag: tuple, fenced: bool = False):
         """The post-wait half of a receive: pop the stashed payload and
@@ -722,9 +698,8 @@ class Processor:
         """Mark this processor's node program complete.
 
         Emitted at the end of generated node programs; lets the
-        progress monitor distinguish a clean completion from a
-        processor that died, and lets a peer's death complete a
-        deadlock diagnosis for the survivors.  Idempotent.
+        progress monitor's report distinguish a clean completion from a
+        processor that died.  Idempotent.
         """
         self.machine.monitor.finish(self.myp, clean=True)
 
@@ -834,15 +809,15 @@ class Machine:
     the reliable ARQ exactly when a fault plan injects network faults
     (and the zero-overhead direct channel otherwise); ``"direct"``,
     ``"reliable"``, ``"unreliable"`` and ``"onesided"`` force a
-    specific transport (booleans are accepted: ``True`` = reliable,
-    ``False`` = raw).
+    specific transport.  ``max_retries`` caps the ARQ's
+    retransmissions; its timer is the cost model's round trip (see
+    :class:`~.transport.Transport`).
 
     Every run is driven by the one deterministic
-    :class:`~.scheduler.Scheduler`.  ``backend`` is accepted for
-    existing callers only: ``"event"`` (the default) and ``"coop"``
-    both name that engine, and ``"threads"`` is refused.  ``timeout``
-    is a wall-clock budget per run (``4 * timeout`` seconds) for node
-    programs that never terminate.
+    :class:`~.scheduler.Scheduler`, with no wall-clock budget: a run
+    ends when every rank has finished or failed.  ``backend`` is
+    accepted for existing callers only: ``"event"`` (the default) and
+    ``"coop"`` both name that engine, and ``"threads"`` is refused.
 
     A fail-stop crash is recovered locally (:meth:`_local_recover`):
     only the crashed rank restarts, and its messages are re-served
@@ -857,12 +832,9 @@ class Machine:
         space: ProcSpace,
         params: Mapping[str, int],
         cost: Optional[CostModel] = None,
-        timeout: float = 60.0,
         fault_plan: Optional[FaultPlan] = None,
-        reliability: Union[str, bool, None] = None,
+        reliability: Optional[str] = None,
         max_retries: int = 10,
-        rto: Optional[float] = None,
-        backoff: float = 2.0,
         checkpoint: Optional[CheckpointPolicy] = None,
         max_restarts: int = 3,
         backend: str = "event",
@@ -892,7 +864,8 @@ class Machine:
         #: event trace: None (off, the default -- observably free),
         #: True (allocate a fresh buffer), or a caller-owned TraceBuffer
         self.trace: Optional[TraceBuffer] = (
-            TraceBuffer() if trace is True else (trace or None)
+            TraceBuffer() if trace is True
+            else trace if isinstance(trace, TraceBuffer) else None
         )
         self.program = program
         self.space = space
@@ -904,24 +877,11 @@ class Machine:
         self.rank_order: List[Tuple[int, ...]] = sorted(
             tuple(c) for c in space.all_physical(self.params)
         )
-        #: interned coordinate tuples: one canonical instance per rank,
-        #: so per-message channel keys (sequence counters, ARQ timers,
-        #: dedup sets) hit dict lookup's pointer-equality fast path
-        #: instead of hashing a fresh tuple per message
-        self._canon: Dict[Tuple[int, ...], Tuple[int, ...]] = {
-            c: c for c in self.rank_order
-        }
-        #: COSMA-style buffer discipline: consumed envelope shells and
-        #: dropped wire-copy buffers are recycled instead of
-        #: re-allocated per message (DESIGN.md §13)
-        self._envelope_pool: List[Envelope] = []
-        self._payload_pool: Dict[tuple, List[np.ndarray]] = {}
         #: the scheduler's hook: called with the destination rank after
         #: every successful mailbox delivery, so parked coroutines are
         #: flagged for wakeup instead of polled
         self._delivery_watcher: Optional[Callable] = None
         self.cost = cost or CostModel()
-        self.timeout = timeout
         self.fault_plan = fault_plan
         self.procs: Dict[Tuple[int, ...], Processor] = {}
         self.monitor = ProgressMonitor(self)
@@ -935,8 +895,7 @@ class Machine:
         self.checksums_enabled = bool(checksums)
         mode = self._select_transport(reliability)
         options = dict(
-            checksums=self.checksums_enabled, max_retries=max_retries,
-            rto=rto, backoff=backoff,
+            checksums=self.checksums_enabled, max_retries=max_retries
         )
         self.transport: Transport = (
             OneSidedTransport(fault_plan, **options) if mode == "onesided"
@@ -966,84 +925,22 @@ class Machine:
         self._fired_crashes.add(myp)
         return True
 
-    def _select_transport(self, reliability: Union[str, bool, None]) -> str:
+    def _select_transport(self, reliability: Optional[str]) -> str:
         """The transport mode ``reliability`` names (see the class
         docstring for the accepted spellings)."""
-        if isinstance(reliability, bool):
-            reliability = "reliable" if reliability else (
-                "unreliable" if self.fault_plan else "direct"
-            )
-        mode = reliability or "auto"
         plan = self.fault_plan
-        if mode == "auto":
+        if reliability is None or reliability == "auto":
             if plan is not None and plan.any_network_faults:
                 return "reliable"
             return "direct"
-        if mode == "unreliable" and plan is None:
-            return "direct"  # nothing to inject
-        if mode not in MODES:
+        if reliability not in MODES:
             raise ValueError(f"unknown reliability mode: {reliability!r}")
-        return mode
-
-    # -- per-message allocation discipline -----------------------------------
-
-    def canon(self, rank) -> Tuple[int, ...]:
-        """The interned coordinate tuple for ``rank``.
-
-        One canonical instance per rank per machine: dict lookups keyed
-        by it (sequence counters, ARQ timers, stashes) short-circuit on
-        pointer equality instead of comparing fresh tuples."""
-        rank = tuple(rank)
-        return self._canon.get(rank, rank)
-
-    def make_envelope(
-        self, src, seq, tag, payload, arrival, checksum=None
-    ) -> Envelope:
-        """One wire envelope, drawn from the recycling pool."""
-        pool = self._envelope_pool
-        if pool:
-            env = pool.pop()
-            env.src = src
-            env.seq = seq
-            env.tag = tag
-            env.payload = payload
-            env.arrival = arrival
-            env.checksum = checksum
-            return env
-        return Envelope(src, seq, tag, payload, arrival, checksum)
-
-    def recycle_envelope(self, envelope: Envelope) -> None:
-        """Return a consumed envelope shell to the pool.  Callers
-        guarantee the shell is dead: its payload (if it survived) is
-        owned by the receiver's stash by now."""
-        envelope.payload = None
-        self._envelope_pool.append(envelope)
-
-    def wire_copy(self, payload):
-        """A private wire copy of ``payload``, reusing a recycled
-        buffer of the same dtype and length when one is available."""
-        if type(payload) is np.ndarray and payload.ndim == 1:
-            bucket = self._payload_pool.get(
-                (payload.dtype.str, payload.shape[0])
-            )
-            if bucket:
-                buf = bucket.pop()
-                buf[:] = payload
-                return buf
-        return copy_payload(payload)
-
-    def recycle_payload(self, payload) -> None:
-        """Return a dropped wire copy's buffer to the pool.  Only ever
-        called for copies that never escaped the accept path
-        (dedup-dropped / corrupt-dropped), so no live reference can
-        alias the recycled buffer."""
-        if type(payload) is np.ndarray and payload.ndim == 1:
-            self._payload_pool.setdefault(
-                (payload.dtype.str, payload.shape[0]), []
-            ).append(payload)
+        if reliability == "unreliable" and plan is None:
+            return "direct"  # nothing to inject
+        return reliability
 
     def deliver(self, dest: Tuple[int, ...], envelope: Envelope) -> None:
-        dest = self.canon(dest)
+        dest = tuple(dest)
         if self.checkpoints is not None:
             self.checkpoints.log_delivery(dest, envelope)
         if self.monitor.deliver_envelope(dest, envelope):
@@ -1131,7 +1028,7 @@ class Machine:
         if self.checkpoints is not None:
             for proc in self.procs.values():
                 self.checkpoints.baseline(proc)
-        self.monitor.reset(total=len(self.procs))
+        self.monitor.reset()
 
         self._restarts = 0
         self._recovery_time = 0.0
@@ -1210,7 +1107,7 @@ class Machine:
         checkpoint store or the restart budget is spent) -- the caller
         then surfaces the crash as a failure.
         """
-        myp = self.canon(exc.myp)
+        myp = tuple(exc.myp)
         self._record_crash(exc)
         store = self.checkpoints
         if store is None or self._restarts >= self.max_restarts:
@@ -1252,12 +1149,11 @@ class Machine:
         proc._incarnation = incarnation
         proc._ff_target = snap.pc
         proc._resume_clock = resume
-        self._scrub_pools()
-        # drain the old mailbox and swap in the fresh incarnation (no
-        # copy is lost or double-counted across the boundary), then
-        # re-serve the sender-logged messages it still needs, in
-        # recorded delivery order
-        self.monitor.replace_proc(myp, proc)
+        # swap in the fresh incarnation (every copy parked in the old
+        # mailbox is also in the sender log), then re-serve the
+        # sender-logged messages it still needs, in recorded delivery
+        # order
+        self.procs[myp] = proc
         for rec in store.reinjections(myp):
             self.monitor.deliver_envelope(
                 myp,
@@ -1270,18 +1166,6 @@ class Machine:
             # no fast-forward will run, so apply the snapshot now
             proc._restore()
         return proc
-
-    def _scrub_pools(self) -> None:
-        """Evict any envelope shell that still holds a payload from the
-        recycling pool (pool hygiene across incarnations).  Correct
-        recycling always nulls the payload first, so this is a
-        defensive invariant sweep on the crash path: a shell recycled
-        live can never re-serve a dead incarnation's stale words."""
-        pool = self._envelope_pool
-        if pool:
-            live = [env for env in pool if env.payload is None]
-            if len(live) != len(pool):
-                pool[:] = live
 
     def _raise_crash_error(self) -> None:
         """Give up: raise :class:`CrashError` with the run's post-mortem."""

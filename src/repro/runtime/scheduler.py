@@ -18,11 +18,12 @@ thread (DESIGN.md §13):
   ``Machine.deliver`` instead of being polled -- an idle rank costs
   zero cycles, which is what makes P >= 1024 routine;
 * **true deadlock** is structural: when no coroutine is runnable and
-  draining every parked mailbox satisfies nobody, the
-  :class:`~.diagnostics.ProgressMonitor` audit (fed by the park/resume
-  transitions) has proven ``in_flight == 0`` with everyone blocked, and
-  the scheduler converts its WAKE pills into
-  :class:`~.diagnostics.DeadlockError` failures.
+  draining every parked mailbox satisfies nobody, no message can ever
+  arrive, so every waiting rank fails with a
+  :class:`~.diagnostics.DeadlockError` carrying one
+  :class:`~.diagnostics.ProgressMonitor` audit.  No wall clock decides
+  anything: generated node programs are finite loop nests, the ARQ is
+  bounded by ``max_retries`` and recovery by ``max_restarts``.
 
 Costs, stats, stash/dedup handling and the checkpoint replay fast path
 live in ``Processor._recv_prologue`` / ``_recv_accept`` /
@@ -32,10 +33,9 @@ live in ``Processor._recv_prologue`` / ``_recv_accept`` /
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Callable, Dict, List, Tuple
 
-from .diagnostics import WAKE, DeadlockError
+from .diagnostics import DeadlockError
 from .faults import ProcessorCrashed
 
 __all__ = ["Scheduler"]
@@ -80,14 +80,7 @@ class Scheduler:
         heapq.heapify(heap)
         machine._delivery_watcher = self._on_delivery
         try:
-            deadline = time.monotonic() + machine.timeout * 4
             while heap or self.waiting:
-                if time.monotonic() > deadline:
-                    raise DeadlockError(
-                        f"node program did not terminate within "
-                        f"{machine.timeout * 4:g}s",
-                        report=machine.monitor.build_report(),
-                    )
                 if heap:
                     _clock, myp, token = heapq.heappop(heap)
                     self._step(myp, token)
@@ -137,14 +130,14 @@ class Scheduler:
                         proc._cache_mc(tag, replayed)
                     request = gen.send(replayed)
                     continue
-                self._pump_mailbox(proc)
+                proc._accept_mailbox()
                 if tag in proc._stash:
                     payload = proc._recv_finish(tag, fenced=fenced)
                     if mc:
                         proc._cache_mc(tag, payload)
                     request = gen.send(payload)
                     continue
-                # park: the monitor's block() runs the deadlock test
+                # park until a delivery satisfies the receive
                 self.waiting[myp] = (tag, mc, fenced)
                 machine.monitor.block(myp, tag)
                 return
@@ -180,18 +173,6 @@ class Scheduler:
 
     # -- mailbox handling ----------------------------------------------------
 
-    @staticmethod
-    def _pump_mailbox(proc) -> bool:
-        """Drain ``proc``'s mailbox into its stash.  Returns True when a
-        WAKE pill was found (deadlock diagnosed by the monitor)."""
-        woke = False
-        for envelope in proc.mailbox.drain():
-            if envelope is WAKE:
-                woke = True
-                continue
-            proc._recv_accept(envelope)
-        return woke
-
     def _on_delivery(self, dest: Tuple[int, ...]) -> None:
         """Machine.deliver hook: flag a parked receiver for wakeup.
         Deliveries to running/ready ranks need no flag -- they pump
@@ -207,12 +188,12 @@ class Scheduler:
 
     def _drain_one(self, myp: Tuple[int, ...]) -> bool:
         """Pump one parked rank's mailbox.  True when it progressed:
-        the rank was resumed, failed, or converted to a deadlock."""
+        the rank was resumed or failed."""
         machine = self.machine
         proc = machine.procs[myp]
         tag, mc, fenced = self.waiting[myp]
         try:
-            woke = self._pump_mailbox(proc)
+            proc._accept_mailbox()
         except BaseException as exc:  # noqa: BLE001 - surfaced by Machine.run
             # a CorruptionError raised while accepting a delivery
             # fails the receiving rank
@@ -224,16 +205,6 @@ class Scheduler:
             del self.waiting[myp]
             machine.monitor.unblock(myp)
             self._unpark(myp, (tag, mc, fenced))
-            return True
-        if woke:
-            del self.waiting[myp]
-            err = DeadlockError(
-                f"deadlock: processor {myp} waits on {tag}, which "
-                f"no in-flight or future message can satisfy",
-                report=machine.monitor.report,
-            )
-            self.failures.append((myp, err))
-            machine.monitor.finish(myp, clean=False)
             return True
         return False
 
@@ -247,34 +218,29 @@ class Scheduler:
 
     def _drain_parked(self) -> None:
         """No coroutine is runnable: satisfy parked receives from their
-        mailboxes, or convert a diagnosed deadlock into failures.
+        mailboxes, or fail every waiting rank on a deadlock.
 
-        Flagged ranks (mail arrived since they parked) go first.  WAKE
-        pills bypass the watcher, but the monitor only pushes them once
-        every rank is parked and nothing is in flight -- so when no
-        flagged rank progresses, a full pass over every parked rank
-        converts them."""
-        machine = self.machine
+        Flagged ranks (mail arrived since they parked) go first, then
+        every parked rank.  When neither pass progresses, every parked
+        mailbox is empty and no rank can run to send again, so no
+        message can ever arrive: one audit is taken and each waiting
+        rank fails with it, in rank order."""
         pending = self._pending
         if pending:
             flagged = sorted(p for p in pending if p in self.waiting)
             pending.clear()
             if self._drain_each(flagged):
                 return
-        if self._drain_each(sorted(self.waiting)) or not self.waiting:
+        if self._drain_each(sorted(self.waiting)):
             return
-        # Nothing moved: every parked mailbox was empty.  Re-run the
-        # monitor's deadlock test (dequeues above may have zeroed the
-        # in-flight count after the last block() check) -- on a true
-        # deadlock it pushes WAKE pills that the next pass converts.
+        monitor = self.machine.monitor
+        report = monitor.build_report()
         for myp in sorted(self.waiting):
-            machine.monitor.block(myp, self.waiting[myp][0])
-        if not machine.monitor.deadlocked:
-            # not a structural deadlock (should be unreachable: with no
-            # runnable coroutine there is no future sender) -- fail loud
-            # rather than spin
-            raise DeadlockError(
-                "scheduler stalled: no runnable processor and "
-                "no satisfiable receive",
-                report=machine.monitor.build_report(),
-            )
+            tag = self.waiting[myp][0]
+            self.failures.append((myp, DeadlockError(
+                f"deadlock: processor {myp} waits on {tag}, which "
+                f"no in-flight or future message can satisfy",
+                report=report,
+            )))
+            monitor.finish(myp, clean=False)
+        self.waiting.clear()

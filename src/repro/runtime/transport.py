@@ -77,7 +77,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .diagnostics import WAKE
 from .faults import FaultPlan, flip_word
 from .trace import TraceEvent
 
@@ -323,6 +322,9 @@ class MessageLog:
 #: the reliability modes a :class:`Transport` is built from
 MODES = ("direct", "unreliable", "reliable", "onesided")
 
+#: factor the ARQ's retransmission timer grows by per failed attempt
+BACKOFF = 2.0
+
 
 class Transport:
     """The one transport: every mode shares one send path.
@@ -351,12 +353,11 @@ class Transport:
     ack-loss decisions (it is off without a plan); ``direct`` applies
     only the plan's corruption.
 
-    ``rto`` is the base retransmission timeout in model-time units;
-    when ``None`` it is derived from the machine's cost model as one
-    full round trip (``2*latency + recv_overhead + alpha``).  Each
+    The base retransmission timeout is one full round trip of the
+    machine's cost model (``2*latency + recv_overhead + alpha``).  Each
     failed attempt stalls the sender by the current RTO and multiplies
-    it by ``backoff``; after ``max_retries`` retransmissions without an
-    acknowledged delivery the sender raises :class:`TransportError`.
+    it by :data:`BACKOFF`; after ``max_retries`` retransmissions without
+    an acknowledged delivery the sender raises :class:`TransportError`.
 
     The timer is **adaptive per channel**: each (sender, destination)
     pair remembers its last RTO.  A message that needed
@@ -364,7 +365,7 @@ class Transport:
     message on a congested/lossy channel does not burn the full
     exponential ramp again; a clean first-attempt acknowledgement
     decays the timer halfway back toward the base.  The timer never
-    exceeds ``base * backoff**max_retries`` -- the value a fixed
+    exceeds ``base * BACKOFF**max_retries`` -- the value a fixed
     scheme would reach at the retry cap -- and never falls below the
     base, and every wait is charged to the cost model and traced as a
     ``timeout`` event, so the makespan decomposition stays exhaustive.
@@ -386,8 +387,6 @@ class Transport:
         *,
         checksums: bool = False,
         max_retries: int = 10,
-        rto: Optional[float] = None,
-        backoff: float = 2.0,
     ):
         if mode not in MODES:
             raise ValueError(f"unknown reliability mode: {mode!r}")
@@ -401,8 +400,6 @@ class Transport:
         #: it exists to demonstrate the silent failure mode
         self.checksummed = checksums and mode != "unreliable"
         self.max_retries = max_retries
-        self.rto = rto
-        self.backoff = backoff
         self._corrupting = plan is not None and plan.any_corruption_faults
         # the raw faulty network (unreliable): the channel ordinal only
         # keys the corruption decision and never travels as a sequence
@@ -447,9 +444,8 @@ class Transport:
             seq = proc.next_seq(dest)
             delivered_once = False
             base = self._initial_rto(machine.cost)
-            cap = base * self.backoff ** self.max_retries
-            # interned channel key: no per-message tuple allocation
-            dkey = machine.canon(dest)
+            cap = base * BACKOFF ** self.max_retries
+            dkey = tuple(dest)
             rto = min(proc._arq_rto.get(dkey, base), cap)
         attempt = 0
         while True:
@@ -501,7 +497,7 @@ class Transport:
                 arrival = proc.clock + machine.cost.latency
                 if self.lossy:
                     arrival += self.plan.delay(myp, dest, tag, attempt)
-                wire = machine.wire_copy(payload)
+                wire = copy_payload(payload)
                 if corrupted:
                     # the flip happens on the wire, after the checksum
                     # was stamped: the receiver's verification fails
@@ -514,17 +510,14 @@ class Transport:
                     ))
                     proc.stats.corruptions_injected += 1
                 machine.deliver(
-                    dest,
-                    machine.make_envelope(
-                        myp, seq, tag, wire, arrival, checksum
-                    ),
+                    dest, Envelope(myp, seq, tag, wire, arrival, checksum)
                 )
                 if duplicated:
                     proc.stats.duplicates_sent += 1
                     machine.deliver(
                         dest,
-                        machine.make_envelope(
-                            myp, seq, tag, machine.wire_copy(wire),
+                        Envelope(
+                            myp, seq, tag, copy_payload(wire),
                             arrival + machine.cost.latency, checksum,
                         ),
                     )
@@ -568,7 +561,7 @@ class Transport:
                     attempt=attempt, seq=seq,
                     incarnation=proc._incarnation,
                 ))
-            rto = min(rto * self.backoff, cap)
+            rto = min(rto * BACKOFF, cap)
             if attempt == self.max_retries:
                 break
             # the retransmission pays full message cost again
@@ -590,9 +583,9 @@ class Transport:
 
     # -- shared helpers ------------------------------------------------------
 
-    def _initial_rto(self, cost) -> float:
-        if self.rto is not None:
-            return self.rto
+    @staticmethod
+    def _initial_rto(cost) -> float:
+        """The base timer: one round trip of ``cost``."""
         return 2.0 * cost.latency + cost.recv_overhead + cost.alpha
 
     def _charge_startup(self, proc, payload) -> None:
@@ -673,9 +666,7 @@ class OneSidedTransport(Transport):
         and charges ``CostModel.fence_time`` to the model clock.
         """
         start = proc.clock
-        for envelope in proc.mailbox.drain():
-            if envelope is not WAKE:
-                proc._recv_accept(envelope)
+        proc._accept_mailbox()
         cost = proc.machine.cost
         proc.clock += cost.fence_time
         proc.stats.fences += 1

@@ -36,10 +36,11 @@ def run_spmd(
     sender message log; ``recovery="local"`` names that one mode);
     ``checksums`` (self-checking transports; ``None`` = on exactly
     when the plan can corrupt); ``trace=True`` (typed event trace on
-    ``RunResult.trace``, off by default and observably free);
-    ``timeout``.  Every run is driven by the one deterministic event
-    scheduler; ``backend`` is accepted for existing callers, where
-    ``"event"`` and ``"coop"`` both name it.
+    ``RunResult.trace``, off by default and observably free; a
+    caller-owned ``TraceBuffer`` is recorded into).  Every run is driven
+    by the one deterministic event scheduler, with no wall-clock budget;
+    ``backend`` is accepted for existing callers, where ``"event"`` and
+    ``"coop"`` both name it.
     """
     machine = Machine(spmd.program, spmd.space, params, **machine_kwargs)
     return machine.run(spmd.node, initial_data=initial_data, seed=seed)

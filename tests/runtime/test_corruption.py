@@ -29,6 +29,7 @@ from repro.runtime import (
     Machine,
     run_spmd,
 )
+from repro.runtime.transport import BACKOFF
 
 from .trace_workloads import (
     TRANSPORTS,
@@ -204,7 +205,7 @@ class TestZeroOverhead:
 class TestAdaptiveRto:
     """The per-channel adaptive RTO is the ARQ's only timer: it must
     recover bit-exactly and keep its state per (sender, destination)
-    channel within ``[base, base * backoff**max_retries]``."""
+    channel within ``[base, base * BACKOFF**max_retries]``."""
 
     def _run(self):
         _build, params = WORKLOADS["fig2"]
@@ -229,7 +230,7 @@ class TestAdaptiveRto:
         machine, _result = self._run()
         transport = machine.transport
         base = transport._initial_rto(machine.cost)
-        cap = base * transport.backoff ** transport.max_retries
+        cap = base * BACKOFF ** transport.max_retries
         channels = {
             (proc.myp, dest): rto
             for proc in machine.procs.values()

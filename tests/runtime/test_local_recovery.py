@@ -12,7 +12,6 @@ ARQ/stash dedup.
 
 from collections import Counter
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -353,36 +352,6 @@ class TestLogOverflow:
         # --log-bytes-cap routes through the >=1 argparse type
         with pytest.raises(argparse.ArgumentTypeError):
             _pos_int("0")
-
-
-class TestPoolIntegrity:
-    """Satellite 2: envelope/wire-buffer pool hygiene across
-    incarnations.  A crash mid-flight must never leave a payload-
-    bearing shell in the recycling pool, where a later incarnation
-    could re-serve stale words."""
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_pool_holds_no_payloads_after_crash(self, backend):
-        spmd = fig2_spmd()
-        base = run_spmd(spmd, FIG2_PARAMS)
-        plan = FaultPlan(crashes={1: base.makespan / 2})
-        machine = Machine(
-            spmd.program, spmd.space, FIG2_PARAMS,
-            fault_plan=plan,
-            checkpoint=CheckpointPolicy(every_ops=25),
-            max_restarts=10,
-            backend=backend,
-        )
-        res = machine.run(spmd.node)
-        assert res.restarts == 1
-        pool = machine._envelope_pool
-        assert pool
-        assert all(env.payload is None for env in pool)
-        assert all(
-            np.array_equal(base.arrays[myp][name],
-                           res.arrays[myp][name], equal_nan=True)
-            for myp in base.arrays for name in base.arrays[myp]
-        )
 
 
 class TestChaosCrashTrials:

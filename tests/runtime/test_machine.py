@@ -90,7 +90,7 @@ class TestChannels:
             yield ("recv", (0,), ("never", 1))
 
         machine = Machine(
-            prog, comp.space, {"N": 70, "T": 0, "P": 2}, timeout=0.5
+            prog, comp.space, {"N": 70, "T": 0, "P": 2}
         )
         with pytest.raises(DeadlockError):
             machine.run(bad_node)
@@ -111,7 +111,7 @@ class TestChannels:
                 assert first == [1.0] and second == [2.0]
 
         machine = Machine(
-            prog, comp.space, {"N": 70, "T": 0, "P": 2}, timeout=2.0
+            prog, comp.space, {"N": 70, "T": 0, "P": 2}
         )
         machine.run(node)
 
@@ -130,7 +130,7 @@ class TestChannels:
                 assert proc.stats.messages_received == 1
 
         machine = Machine(
-            prog, comp.space, {"N": 70, "T": 0, "P": 2}, timeout=2.0
+            prog, comp.space, {"N": 70, "T": 0, "P": 2}
         )
         machine.run(node)
 
@@ -151,7 +151,7 @@ class TestChannels:
                 payload[0] = 1.0
 
         machine = Machine(
-            prog, comp.space, {"N": 70, "T": 0, "P": 2}, timeout=2.0
+            prog, comp.space, {"N": 70, "T": 0, "P": 2}
         )
         with pytest.raises(ValueError, match="read-only"):
             machine.run(node)

@@ -171,7 +171,7 @@ class TestPutIdempotence:
         t.put(p0, (1,), ("w", 0), payload)
         assert len(p1.mailbox) == 2
         # commit the original only
-        p1._recv_accept(next(p1.mailbox.drain()))
+        p1._recv_accept(p1.mailbox.popleft())
         assert np.array_equal(t.get(p1, ("w", 0)), payload)
         before = t.get(p1, ("w", 0))
         t.fence(p1)  # drains the straggler duplicate

@@ -17,7 +17,7 @@ import pytest
 from repro.codegen import SPMDOptions, generate_spmd
 from repro.decomp import block_loop
 from repro.lang import parse
-from repro.runtime import DeadlockError, Machine, run_spmd
+from repro.runtime import DeadlockError, Machine, TraceBuffer, run_spmd
 
 from .trace_workloads import (
     FIG2_SRC,
@@ -96,9 +96,9 @@ def fig2_machine(**kw):
 
 class TestScheduler:
     def test_structural_deadlock_detected_fast(self):
-        """A mismatched receive is diagnosed by the monitor's in-flight
-        audit, not by waiting out the timeout."""
-        machine = fig2_machine(timeout=60.0)
+        """A mismatched receive is diagnosed structurally, the moment
+        no rank can run, with the monitor's audit."""
+        machine = fig2_machine()
 
         def bad_node(proc):
             proc.arrays  # touch, then wait on a tag nobody sends
@@ -116,7 +116,7 @@ class TestScheduler:
 
     def test_one_sided_deadlock_names_the_waiter(self):
         """One processor finishes; the other waits forever on it."""
-        machine = fig2_machine(timeout=60.0)
+        machine = fig2_machine()
 
         def node(proc):
             if proc.myp == (1,):
@@ -148,6 +148,26 @@ class TestScheduler:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             fig2_machine(backend="fibers")
+
+    @pytest.mark.parametrize("knob", ["timeout", "rto", "backoff"])
+    def test_removed_knobs_rejected(self, knob):
+        """No wall-clock budget and no ARQ timer knobs: the timer is
+        the cost model's round trip."""
+        with pytest.raises(TypeError, match=knob):
+            fig2_machine(**{knob: 1.0})
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_reliability_rejected(self, flag):
+        with pytest.raises(ValueError, match="unknown reliability mode"):
+            fig2_machine(reliability=flag)
+
+    def test_caller_owned_trace_buffer_records(self):
+        """An empty caller-owned buffer is recorded into, not taken
+        for 'tracing off' because it has no events yet."""
+        buffer = TraceBuffer()
+        spmd = compiled_spmd("fig2")
+        result = run_spmd(spmd, WORKLOADS["fig2"][1], trace=buffer)
+        assert result.trace is buffer and len(buffer) > 0
 
     @pytest.mark.parametrize("name", sorted(JOBS))
     def test_coop_alias_bit_identical_to_default(self, name):

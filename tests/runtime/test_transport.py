@@ -189,7 +189,7 @@ class TestRetryCap:
         machine = Machine(
             prog, comp.space, {"N": 70, "T": 0, "P": 2},
             fault_plan=FaultPlan(seed=1, drop_rate=1.0),
-            max_retries=3, timeout=30.0,
+            max_retries=3,
         )
         with pytest.raises(TransportError) as excinfo:
             machine.run(node)
@@ -222,7 +222,7 @@ class TestUnreliableTransport:
         plan = FaultPlan(seed=0, drop_rate=0.9)
         machine = Machine(
             prog, comp.space, {"N": 70, "T": 1, "P": 3},
-            fault_plan=plan, reliability="unreliable", timeout=30.0,
+            fault_plan=plan, reliability="unreliable",
         )
         with pytest.raises(DeadlockError) as excinfo:
             machine.run(spmd.node)
