@@ -166,12 +166,15 @@ class SPMD:
                 if "node" not in state:
                     state["node"] = node_from_source(self.source)
             return state["node"]
-        if name in ANALYSIS_FIELDS and "_analysis" in state:
+        if name in ANALYSIS_FIELDS:
             with _DEFERRED_LOCK:
                 if "_analysis" in state:
                     state.update(state["_analysis"]())
                     del state["_analysis"]  # frees the encoded bytes
-            return state[name]
+            # another thread may have decoded between this thread's
+            # missed lookup and its turn at the lock
+            if name in state:
+                return state[name]
         raise AttributeError(name)
 
 

@@ -62,18 +62,16 @@ class SerializeError(Exception):
 # canonical rendering
 # ---------------------------------------------------------------------------
 
-def _canon(obj):
-    """Render ``obj`` as nested plain tuples -- identity-free and stable.
+#: the compiler classes :func:`_canon` dispatches on, in the order
+#: :func:`_bind_classes` returns them; bound on the first call because
+#: importing them at module level would make core <- codegen a cycle
+_CLASSES = None
 
-    Every compiler object is reduced to its canonical mathematical
-    content (LinExpr interning keys, System canonical keys, names,
-    integers).  Statements and loops are rendered *shallowly* (loops as
-    their bound expressions, no body recursion) because the structures
-    referencing them -- communication sets, decompositions -- only
-    depend on that much, and the full nest is rendered once via the
-    program itself.
-    """
-    # local imports: core <- codegen would otherwise be a cycle
+
+def _bind_classes():
+    """Resolve :data:`_CLASSES` once per process.  Two threads racing
+    on the first call bind the same classes, so the fill needs no lock."""
+    global _CLASSES
     from ..codegen.spmd import SPMDOptions
     from ..decomp.computation import CompDecomp, CompRule
     from ..decomp.data import DataDecomp, DimRule
@@ -83,6 +81,32 @@ def _canon(obj):
     from ..ir.program import Program
     from ..polyhedra.affine import LinExpr
     from ..polyhedra.system import System
+
+    _CLASSES = (
+        SPMDOptions, CompDecomp, CompRule, DataDecomp, DimRule, Extent,
+        ProcSpace, Access, Array, Loop, Statement, Program, LinExpr,
+        System,
+    )
+    return _CLASSES
+
+
+def _canon(obj):
+    """Render ``obj`` as nested plain tuples -- identity-free and stable.
+
+    Every compiler object is reduced to its canonical mathematical
+    content (LinExpr interning keys, System canonical keys, names,
+    integers).  Statements and loops are rendered *shallowly* (loops as
+    their bound expressions, no body recursion) because the structures
+    referencing them -- communication sets, decompositions -- only
+    depend on that much, and the full nest is rendered once via the
+    program itself.  The classes it tests against are bound once per
+    process (:data:`_CLASSES`), not imported on every call.
+    """
+    (
+        SPMDOptions, CompDecomp, CompRule, DataDecomp, DimRule, Extent,
+        ProcSpace, Access, Array, Loop, Statement, Program, LinExpr,
+        System,
+    ) = _CLASSES or _bind_classes()
 
     if obj is None or isinstance(obj, (int, float, str, bool, bytes)):
         return obj
@@ -205,13 +229,26 @@ def job_key(program, comps, initial_data=None, options=None) -> str:
     optimization switch -- everything :func:`compile_distributed`'s
     output depends on.  The pipeline fingerprint is *not* included
     here; the disk cache mixes it into the content address separately.
-    """
-    from ..codegen.spmd import SPMDOptions
 
-    options = options or SPMDOptions()
-    doc = (
-        "job", CANONICAL_VERSION,
-        _canon(program),
+    The text is ``repr`` of the tuple ``("job", CANONICAL_VERSION,
+    program, comps, initial_data, options)`` rendered by :func:`_canon`.
+    The program's part is rendered once per :class:`Program` and kept
+    on it (``Program._key_text``, dropped by ``finalize`` and never
+    pickled), so a server handed the same program by its parse memo
+    renders only the decompositions and options again.
+    """
+    if options is None:
+        from ..codegen.spmd import SPMDOptions
+
+        options = SPMDOptions()
+    program_text = program._key_text
+    if program_text is None:
+        program_text = program._key_text = repr(_canon(program))
+    # the text repr() gives the whole tuple, with the program's part
+    # spliced in from the memo
+    return "('job', %r, %s, %r, %r, %r)" % (
+        CANONICAL_VERSION,
+        program_text,
         tuple((name, _canon(comps[name])) for name in sorted(comps)),
         tuple(
             (name, _canon(initial_data[name]))
@@ -219,7 +256,6 @@ def job_key(program, comps, initial_data=None, options=None) -> str:
         ) if initial_data else (),
         _canon(options),
     )
-    return repr(doc)
 
 
 # ---------------------------------------------------------------------------

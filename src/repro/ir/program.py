@@ -9,6 +9,9 @@ from ..polyhedra import LinExpr, System
 from .arrays import Access, Array
 from .loops import Loop, Node, Statement
 
+#: the attributes :class:`Program` memoizes per instance
+_MEMOS = ("_run_nest", "_live_out_nest", "_key_text")
+
 
 @dataclass
 class Program:
@@ -25,11 +28,13 @@ class Program:
     assumptions: System = field(default_factory=System)
     arrays: Dict[str, Array] = field(default_factory=dict)
 
-    #: the compiled sequential nests of :mod:`repro.ir.interp`, built
-    #: there on first use; dropped by :meth:`finalize` and never pickled
-    #: (class defaults, not fields)
+    #: the compiled sequential nests of :mod:`repro.ir.interp` and the
+    #: program's canonical text in :func:`repro.core.serialize.job_key`,
+    #: built there on first use; dropped by :meth:`finalize` and never
+    #: pickled (class defaults, not fields)
     _run_nest = None
     _live_out_nest = None
+    _key_text = None
 
     def __post_init__(self):
         self.finalize()
@@ -38,9 +43,9 @@ class Program:
 
     def finalize(self) -> None:
         """Recompute statement loop chains, paths and the array table
-        (and drop the nests compiled from the old ones)."""
-        self.__dict__.pop("_run_nest", None)
-        self.__dict__.pop("_live_out_nest", None)
+        (and drop the nests and key text built from the old ones)."""
+        for memo in _MEMOS:
+            self.__dict__.pop(memo, None)
         self.arrays = {}
         seen_vars: List[str] = []
         counter = [0]
@@ -77,8 +82,8 @@ class Program:
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        state.pop("_run_nest", None)
-        state.pop("_live_out_nest", None)
+        for memo in _MEMOS:
+            state.pop(memo, None)
         return state
 
     # -- queries ---------------------------------------------------------------

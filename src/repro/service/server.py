@@ -46,9 +46,17 @@ from ..polyhedra import diskcache
 
 def comps_from_blocks(program, blocks: Dict[str, int]):
     """Block-distribute the named loops of every statement (the same
-    decomposition ``repro compile --block`` builds)."""
-    if not blocks:
+    decomposition ``repro compile --block`` builds).  Every block size
+    must be a positive ``int``; a bool, a float or a string is refused
+    rather than rounded or coerced."""
+    if not blocks or not isinstance(blocks, dict):
         raise ValueError("request needs a non-empty 'blocks' mapping")
+    for var, size in blocks.items():
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(
+                f"block size of loop {var!r} must be a positive "
+                f"integer, not {size!r}"
+            )
     comps = {}
     space = None
     for stmt in program.statements():
@@ -58,7 +66,7 @@ def comps_from_blocks(program, blocks: Dict[str, int]):
             raise ValueError(
                 f"statement {stmt.name} lacks blocked loop(s) {missing}"
             )
-        sizes = [int(blocks[v]) for v in vars_]
+        sizes = [blocks[v] for v in vars_]
         comp = block_loop(stmt, vars_, sizes, space=space)
         space = comp.space
         comps[stmt.name] = comp
@@ -66,13 +74,22 @@ def comps_from_blocks(program, blocks: Dict[str, int]):
 
 
 def options_from_dict(overrides: Optional[Dict]) -> SPMDOptions:
-    """Build SPMDOptions from a request's ``options`` object."""
+    """Build SPMDOptions from a request's ``options`` object.  Every
+    switch is a bool, and a value of any other type is refused: a
+    truthy string like ``"no"`` would otherwise switch it on."""
     overrides = overrides or {}
+    if not isinstance(overrides, dict):
+        raise ValueError("'options' must be a JSON object")
     valid = {f.name for f in dc_fields(SPMDOptions)}
     unknown = sorted(set(overrides) - valid)
     if unknown:
         raise ValueError(f"unknown option(s) {unknown}; valid: "
                          f"{sorted(valid)}")
+    for name, value in overrides.items():
+        if not isinstance(value, bool):
+            raise ValueError(
+                f"option {name!r} must be true or false, not {value!r}"
+            )
     return SPMDOptions(**overrides)
 
 
@@ -89,6 +106,10 @@ def _percentile(sorted_values: List[float], q: float) -> float:
 #: it has answered.
 LATENCY_WINDOW = 2048
 PARSE_MEMO_SIZE = 256
+
+#: the ``emit`` values a compile request may carry (``None`` and
+#: ``"none"`` reply without code)
+EMITS = ("c", "python", "none", None)
 
 
 class CompileServer:
@@ -177,6 +198,9 @@ class CompileServer:
     def _compile(self, obj: Dict) -> Dict:
         if "program" not in obj:
             raise ValueError("compile request needs a 'program' field")
+        emit = obj.get("emit", "c")
+        if emit not in EMITS:
+            raise ValueError(f"unknown emit {emit!r}")
         start = time.perf_counter()
         program = self._parse(obj["program"], obj.get("name", "<request>"))
         comps = comps_from_blocks(program, obj.get("blocks") or {})
@@ -203,13 +227,10 @@ class CompileServer:
             "schema_version": result.schema_version,
             "commsets": result.spmd.commset_count,
         }
-        emit = obj.get("emit", "c")
         if emit == "c":
             out["code"] = result.c_text
         elif emit == "python":
             out["code"] = result.spmd.source
-        elif emit not in (None, "none"):
-            raise ValueError(f"unknown emit {emit!r}")
         return out
 
     # -- accounting -------------------------------------------------------

@@ -94,6 +94,28 @@ class TestRequests:
         assert stats["latency_p50"] > 0
         assert stats["latency_p95"] >= stats["latency_p50"]
 
+    def test_bad_emit_is_refused_before_compiling(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import server as server_mod
+
+        server = CompileServer(cache_dir=str(tmp_path / "cache"))
+        assert server.handle_request(_compile_req(emit="none"))["ok"]
+        assert server.handle_request(_compile_req(emit="none"))["ok"]
+        compiles = []
+        monkeypatch.setattr(
+            server_mod._compiler, "compile_distributed",
+            lambda *a, **k: compiles.append(a),
+        )
+        resp = server.handle_request(_compile_req(emit="bogus"))
+        assert not resp["ok"] and "bogus" in resp["error"]
+        assert compiles == []
+        stats = server.stats()
+        assert (
+            stats["requests"], stats["result_cache_hits"],
+            stats["errors"], stats["latency_window"],
+        ) == (2, 1, 1, 2)
+
     def test_disk_cache_shared_across_requests(self, tmp_path):
         server = CompileServer(cache_dir=str(tmp_path / "cache"))
         first = server.handle_request(_compile_req(emit="none"))
@@ -109,6 +131,25 @@ class TestRequests:
             _compile_req(options={"nope": True})
         )
         assert not resp["ok"] and "aggregate" in resp["error"]
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_non_bool_option_is_refused(self, server, value):
+        with pytest.raises(ValueError, match="'vectorize'"):
+            options_from_dict({"vectorize": value})
+        resp = server.handle_request(
+            _compile_req(options={"vectorize": value})
+        )
+        assert not resp["ok"] and "vectorize" in resp["error"]
+        assert server.stats()["requests"] == 0
+
+    @pytest.mark.parametrize("size", [8.7, True, 0, -4, "8"])
+    def test_block_size_must_be_a_positive_int(self, server, size):
+        program = parse(FIG2, name="<request>")
+        with pytest.raises(ValueError, match="loop 'i'"):
+            comps_from_blocks(program, {"i": size})
+        resp = server.handle_request(_compile_req(blocks={"i": size}))
+        assert not resp["ok"] and "loop 'i'" in resp["error"]
+        assert server.stats()["requests"] == 0
 
     def test_options_round_trip(self):
         opts = options_from_dict({"aggregate": False, "vectorize": True})
