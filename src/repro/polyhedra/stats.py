@@ -69,11 +69,11 @@ class PolyStats:
             self.peak_system_size = size
 
     def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for name in _NAMES:
+            setattr(self, name, 0)
 
     def snapshot(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _NAMES}
 
     def delta_since(self, before: Dict[str, int]) -> Dict[str, int]:
         """Counter increments since ``before`` (a prior snapshot).
@@ -81,15 +81,17 @@ class PolyStats:
         ``peak_system_size`` is a high-water mark, not a counter: the
         delta reports the current peak itself.
         """
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "peak_system_size":
-                out[f.name] = value
-            else:
-                out[f.name] = value - before.get(f.name, 0)
+        out = {
+            name: getattr(self, name) - before.get(name, 0)
+            for name in _NAMES
+        }
+        out["peak_system_size"] = self.peak_system_size
         return out
 
+
+#: the counter names in declaration order, bound once: ``fields()`` is
+#: slow enough to show in a warm compile request
+_NAMES = tuple(f.name for f in fields(PolyStats))
 
 #: the process-wide counter set
 STATS = PolyStats()
