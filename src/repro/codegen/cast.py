@@ -701,6 +701,22 @@ def _compute_vectorizable(
     return True
 
 
+def _fold_bound(
+    kind: str, src: str, bound: Optional[BExpr], clips: Sequence[str]
+) -> str:
+    """``src``, a loop bound (``bound`` its expression, if any), with
+    the clip bounds of a guard folded in: one flat ``max``/``min`` call
+    (``kind``) over the distinct parts, or ``src`` when nothing clips."""
+    flat = MaxE if kind == "max" else MinE
+    parts = (
+        [_py_expr(i) for i in bound.items]
+        if isinstance(bound, flat)
+        else [src]
+    )
+    parts += [c for c in dict.fromkeys(clips) if c not in parts]
+    return parts[0] if len(parts) == 1 else f"{kind}({', '.join(parts)})"
+
+
 def _numpy_safe(b: BExpr) -> bool:
     """Can ``b`` be evaluated with numpy arrays bound to its variables?
 
@@ -741,8 +757,11 @@ class PyEmitter:
     is emitted as whole-range numpy operations: computes become one
     ``proc.execute_block`` call per pin-free span (legality proved by
     :func:`_compute_vectorizable`), packs gather one chunk, unpacks
-    scatter one slice.  Everything else falls back to the scalar loop,
-    which remains bit-identical to the historical emission.
+    scatter one slice.  A pin-free compute loop the proof rejects is
+    still one ``execute_block`` call, with ``gather`` False: the
+    statement's range kernel runs it in scalar order.  Everything else
+    falls back to the scalar loop, which remains bit-identical to the
+    historical emission.
     """
 
     def __init__(
@@ -934,7 +953,9 @@ class PyEmitter:
         in-range pin the *original* body is re-emitted scalar with the
         loop variable bound to the pin, preserving intra-iteration
         order between the compute and the pinned fragments (and
-        re-checking every guard).
+        re-checking every guard).  A pin-free loop the RAW proof
+        rejects becomes one block call that runs the statement's range
+        kernel, in scalar order; with pins it stays the scalar loop.
         """
         vector: List[Tuple[Statement, List[Cond], Optional[tuple]]] = []
         pinned: List[Tuple[CNode, LinExpr]] = []
@@ -976,14 +997,30 @@ class PyEmitter:
         stmt, guard, clip = vector[0]
         if v not in stmt.iter_vars:
             return False
+
+        pad = "    " * indent
+        out = self.lines.append
         if not _compute_vectorizable(
             stmt, v, step_int, node.lower, node.upper
         ):
-            return False
+            if pinned:
+                return False
+            # execute_block returns at once on an empty range, and no
+            # generated code reads a loop variable after its loop: the
+            # call needs no bounds test and no rebinding
+            lowers, uppers = clip if clip is not None else ((), ())
+            lower = node.lower if isinstance(node, CFor) else None
+            for c in comments:
+                out(f"{pad}# {c.text}")
+            self._block_call(
+                stmt, guard, v,
+                _fold_bound("max", lo_src, lower, lowers),
+                _fold_bound("min", hi_src, node.upper, uppers),
+                step_src, indent, gather=False,
+            )
+            return True
 
         u = next(self._uid)
-        pad = "    " * indent
-        out = self.lines.append
         out(f"{pad}_vlo{u} = {lo_src}")
         out(f"{pad}_vhi{u} = {hi_src}")
         out(f"{pad}if _vlo{u} <= _vhi{u}:")
@@ -1011,22 +1048,11 @@ class PyEmitter:
                 out(f"{p1}{hi_clip} = {src}")
 
         def block_call(lo: str, hi: str, at: int) -> None:
-            qad = "    " * at
-            if guard:
-                conds = " and ".join(_py_cond(c, self.rank) for c in guard)
-                out(f"{qad}if {conds}:")
-                qad += "    "
-            for w in stmt.iter_vars:
-                if w != v:
-                    out(f"{qad}_env[{w!r}] = {_san(w)}")
             if lo_clip is not None:
                 lo = f"max({lo}, {lo_clip})"
             if hi_clip is not None:
                 hi = f"min({hi}, {hi_clip})"
-            out(
-                f"{qad}proc.execute_block({self._handle(stmt)}, {v!r}, "
-                f"{lo}, {hi}, _env, {step_src})"
-            )
+            self._block_call(stmt, guard, v, lo, hi, step_src, at)
 
         if pinned:
             out(f"{p1}_pins{u} = []")
@@ -1056,6 +1082,27 @@ class PyEmitter:
                 f"((_vhi{u} - _vlo{u}) // {step_src}) * {step_src}"
             )
         return True
+
+    def _block_call(
+        self, stmt, guard, v, lo, hi, step_src, at, gather=True
+    ) -> None:
+        """One ``proc.execute_block`` call for ``v`` in [lo, hi] at
+        indent ``at``, under the loop's ``v``-free guard; ``gather``
+        False selects the range kernel."""
+        qad = "    " * at
+        out = self.lines.append
+        if guard:
+            conds = " and ".join(_py_cond(c, self.rank) for c in guard)
+            out(f"{qad}if {conds}:")
+            qad += "    "
+        for w in stmt.iter_vars:
+            if w != v:
+                out(f"{qad}_env[{w!r}] = {_san(w)}")
+        flag = "" if gather else ", False"
+        out(
+            f"{qad}proc.execute_block({self._handle(stmt)}, {v!r}, "
+            f"{lo}, {hi}, _env, {step_src}{flag})"
+        )
 
     def _try_pack_loop(
         self, node, items, v, step_src, lo_src, hi_src, indent

@@ -10,10 +10,13 @@ by name in the function's globals, never printed with ``repr``.  A
 statement without an ``fn_spec`` (built from a raw Python callable)
 calls ``stmt.fn(values, env)`` from the generated code instead.
 
-The printer has three users:
+The printer has four users:
 
 * :func:`compile_kernel` -- one ``kernel(arrays, env)`` per statement,
   equivalent bit for bit to :meth:`Statement.execute`;
+* :func:`compile_range_kernel` -- ``run(arrays, env, lo, stop, step)``,
+  the same instance in a ``for`` over one loop variable, equivalent to
+  one ``kernel`` call per iterate in ascending order;
 * :func:`compile_run` -- the whole program as one loop nest,
   equivalent to the tree walk of :func:`repro.ir.interp.run_traced`;
 * :func:`compile_live_out` -- the same nest recording, per written
@@ -197,6 +200,50 @@ def compile_kernel(stmt: Statement) -> Callable:
     ]
     lines = ["def kernel(arrays, env):", *header, *arrays, *body]
     return _build(ns, lines, "kernel", f"kernel {stmt.name}")
+
+
+def compile_range_kernel(stmt: Statement, loop_var: str) -> Callable:
+    """``run(arrays, env, lo, stop, step)``: ``stmt`` for ``loop_var``
+    in ``range(lo, stop, step)``, ascending, as that many
+    :func:`compile_kernel` calls with ``env[loop_var]`` set to each
+    iterate would run it.  ``loop_var`` is a Python local; the other
+    subscript variables are read from ``env`` once, up front.  A raw
+    ``fn`` gets ``env[loop_var]`` written before each call."""
+    ns = _Namespace()
+    header: List[str] = []
+    bound: set = set()
+    loop = ns.local("v", loop_var)
+
+    def var(name):
+        local = ns.local("v", name)
+        if local != loop and local not in bound:
+            bound.add(local)
+            header.append(f"    {local} = env[{name!r}]")
+        return local
+
+    def env_var(name):
+        local = ns.local("v", name)
+        return local if local == loop or local in bound else f"env[{name!r}]"
+
+    for access in (*stmt.reads, stmt.lhs):
+        for expr in access.indices:
+            for name, _ in expr.terms():
+                var(name)
+    body = []
+    if stmt.fn_spec is None:
+        body.append(f"        env[{loop_var!r}] = {loop}")
+    body += _statement(stmt, ns, var, env_var, "env", "        ")
+    arrays = [
+        f"    {ns.local('a', a)} = arrays[{a!r}]" for a in _arrays_of([stmt])
+    ]
+    lines = [
+        "def run(arrays, env, lo, stop, step):",
+        *header,
+        *arrays,
+        f"    for {loop} in range(lo, stop, step):",
+        *body,
+    ]
+    return _build(ns, lines, "run", f"range kernel {stmt.name} {loop_var}")
 
 
 def _nest(program: Program, record_writes: bool) -> Tuple[_Namespace, List[str]]:

@@ -56,8 +56,9 @@ class Statement:
     #: Python callables do not.
     fn_spec: Optional[tuple] = None
 
-    #: the generated ``kernel(arrays, env)``, built by :meth:`kernel` on
-    #: first use; never pickled (a class default, not a field)
+    #: the generated code, built on first use: ``{None: kernel}`` for
+    #: :meth:`kernel`, ``{var: run}`` for each :meth:`range_kernel`;
+    #: never pickled (a class default, not a field)
     _kernel = None
 
     def __post_init__(self):
@@ -97,11 +98,29 @@ class Statement:
         """``kernel(arrays, env)``, equivalent to :meth:`execute` bit for
         bit: generated Python source (:mod:`repro.ir.kernels`), built on
         first use and cached on the instance."""
-        fn = self._kernel
-        if fn is None:
-            from .kernels import compile_kernel  # cycle: kernels uses loops
+        return self._generated(None)
 
-            fn = self._kernel = compile_kernel(self)
+    def range_kernel(self, var: str) -> Callable:
+        """``run(arrays, env, lo, stop, step)``: this statement for
+        ``var`` in ``range(lo, stop, step)``, equivalent bit for bit to
+        one :meth:`kernel` call per iterate in ascending order; built on
+        first use and cached on the instance per loop variable."""
+        return self._generated(var)
+
+    def _generated(self, var: Optional[str]) -> Callable:
+        cache = self._kernel
+        if cache is None:
+            cache = self._kernel = {}
+        fn = cache.get(var)
+        if fn is None:
+            # cycle: kernels uses loops
+            from .kernels import compile_kernel, compile_range_kernel
+
+            fn = cache[var] = (
+                compile_kernel(self)
+                if var is None
+                else compile_range_kernel(self, var)
+            )
         return fn
 
     def __str__(self) -> str:
@@ -118,7 +137,7 @@ class Statement:
 
     # -- pickling ---------------------------------------------------------
     # ``fn`` is a closure; the AST recipe in ``fn_spec`` stands in for it
-    # on the wire and is recompiled on load.  A generated kernel is
+    # on the wire and is recompiled on load.  Generated kernels are
     # dropped too (rebuilt on first use after load).
 
     def __getstate__(self):

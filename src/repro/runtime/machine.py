@@ -313,17 +313,21 @@ class Processor:
         hi: int,
         env: Dict[str, int],
         step: int = 1,
+        gather: bool = True,
     ) -> None:
-        """Execute ``stmt`` for ``var`` = lo, lo+step, ..., <= hi as numpy
-        gather-compute-scatter *segments*.
+        """Execute ``stmt`` for ``var`` = lo, lo+step, ..., <= hi in
+        *segments*, each one runtime call: a numpy
+        gather-compute-scatter (``gather=True``) or the statement's
+        range kernel, which runs the iterations in ascending order.
 
-        The emitter only issues this call for loops it proved free of
-        read-after-write hazards along ``var`` (see DESIGN.md §10).  That
-        proof holds on every contiguous sub-range too, so each segment
-        is element-for-element identical to the ascending scalar loop,
-        and the state between two segments -- what a checkpoint
-        snapshots mid-block -- is the scalar state after the same
-        operations.
+        The emitter passes ``gather=True`` only for loops it proved free
+        of read-after-write hazards along ``var`` (see DESIGN.md §10).
+        That proof holds on every contiguous sub-range too, so each
+        gathered segment is element-for-element identical to the
+        ascending scalar loop, and the state between two segments --
+        what a checkpoint snapshots mid-block -- is the scalar state
+        after the same operations.  A range-kernel segment *is* the
+        scalar loop, so it needs no proof.
 
         A segment ends at the next operation whose per-op bookkeeping is
         observable, where :meth:`_after_op` runs as on the scalar path:
@@ -334,22 +338,22 @@ class Processor:
         communication calls, so a fault-free block is one segment.
         Blocks shorter than 4, and statements whose ``fn`` is not
         vector-safe (``Statement.vector_fn`` hook, probed once and
-        cached), run the scalar loop.
+        cached), run range-kernel segments even when ``gather`` is set.
         """
         if hi < lo:
             return
         n = (hi - lo) // step + 1
-        if n < 4 or not self._vector_safe(stmt, var, lo, step, env):
-            for v in range(lo, hi + 1, step):
-                env[var] = v
-                self.execute_stmt(stmt, env)
-            return
+        if gather and (
+            n < 4 or not self._vector_safe(stmt, var, lo, step, env)
+        ):
+            gather = False
         skip = min(n, self._ff_target - self._pc)
         if skip > 0:
             self._pc += skip - 1
             self._advance()
             lo += skip * step
         cost = (1 + len(stmt.reads)) * self.machine.cost.flop_time
+        span = self._compute_span if gather else self._range_span
         while lo <= hi:
             # count the segment's first operation, then run its pre-op
             # crash check; inside a segment nothing moves the clock
@@ -359,7 +363,7 @@ class Processor:
             self._maybe_crash(comm=False)
             k = self._segment_ops(cost, (hi - lo) // step + 1)
             self._pc += k - 1
-            self._compute_span(stmt, var, lo, k, step, env, cost)
+            span(stmt, var, lo, k, step, env, cost)
             lo += k * step
             self._after_op()
 
@@ -388,19 +392,50 @@ class Processor:
         return j
 
     def _compute_span(self, stmt, var, lo, n, step, env, cost) -> None:
-        """One vectorized segment: ``n`` iterations from ``lo``.  Flops,
-        ``compute_time`` and the clock are charged in closed form while
-        the sums stay exact integers, else per step in the scalar
-        path's float order."""
+        """One vectorized segment: ``n`` iterations from ``lo``, traced
+        as one spanning ``compute`` event."""
         venv = dict(env)
         venv[var] = np.arange(lo, lo + n * step, step)
         # with ``var`` an index vector, the statement kernel is the
         # gather-compute-scatter: fancy-indexed reads, numpy arithmetic,
         # one fancy-indexed store
         stmt.kernel()(self.arrays, venv)
+        start = self.clock
+        self._charge(stmt, n, cost)
+        trace = self.machine.trace
+        if trace is not None:
+            # one spanning event per segment: same decomposition as n
+            # scalar compute events, one record
+            trace.emit(TraceEvent(
+                kind="compute", rank=self.myp, start=start, end=self.clock,
+                stmt=stmt.name, count=n, incarnation=self._incarnation,
+            ))
+
+    def _range_span(self, stmt, var, lo, n, step, env, cost) -> None:
+        """One range-kernel segment: ``n`` scalar iterations from
+        ``lo`` in one call, traced as the scalar path traces them, one
+        ``compute`` event per operation."""
+        stmt.range_kernel(var)(self.arrays, env, lo, lo + n * step, step)
+        trace = self.machine.trace
+        if trace is None:
+            self._charge(stmt, n, cost)
+            return
+        for _ in range(n):
+            start = self.clock
+            self._charge(stmt, 1, cost)
+            trace.emit(TraceEvent(
+                kind="compute", rank=self.myp, start=start, end=self.clock,
+                stmt=stmt.name, incarnation=self._incarnation,
+            ))
+
+    def _charge(self, stmt, n, cost) -> None:
+        """Charge ``n`` compute operations of ``stmt``.  Flops,
+        ``compute_time`` and the clock move in closed form while the
+        sums stay exact integers, else per step in the scalar path's
+        float order."""
         stats = self.stats
         stats.flops += (1 + len(stmt.reads)) * n
-        start = clock = self.clock
+        clock = self.clock
         ctime = stats.compute_time
         if (
             float(cost).is_integer()
@@ -417,14 +452,6 @@ class Processor:
                 ctime += cost
         self.clock = clock
         stats.compute_time = ctime
-        trace = self.machine.trace
-        if trace is not None:
-            # one spanning event per segment: same decomposition as n
-            # scalar compute events, one record
-            trace.emit(TraceEvent(
-                kind="compute", rank=self.myp, start=start, end=clock,
-                stmt=stmt.name, count=n, incarnation=self._incarnation,
-            ))
 
     def _vector_safe(self, stmt, var, lo, step, env) -> bool:
         verdict = stmt.vector_fn

@@ -22,12 +22,14 @@ Design rules (load-bearing; the conformance suite pins them):
   transports that must agree, produce equal normalized traces,
   mailbox-acceptance markers (``dup-drop``, ``corrupt-drop``) included.
 * **Vectorized segments are single spanning events** (``count = n``):
-  the emitter's ``execute_block`` charges each segment's ``n``
-  iterations at once (a block is one segment unless a checkpoint,
-  scheduled crash or replay cut falls inside it), and the trace
-  mirrors that as one ``compute`` event covering the segment, so
+  the emitter's ``execute_block`` charges each gathered segment's
+  ``n`` iterations at once (a block is one segment unless a
+  checkpoint, scheduled crash or replay cut falls inside it), and the
+  trace mirrors that as one ``compute`` event covering the segment, so
   scalar and vectorized traces decompose time identically even though
-  their event counts differ.
+  their event counts differ.  A range-kernel segment (a loop the
+  read-after-write proof keeps in scalar order) emits one event per
+  operation, exactly as the scalar path does.
 
 Event kinds
 -----------

@@ -6,13 +6,24 @@ distributed state against sequential execution -- the whole paper in
 one assertion.
 """
 
+import numpy as np
 import pytest
 
 from repro.codegen import SPMDOptions, generate_spmd
+from repro.codegen.cast import (
+    CBlock,
+    CCompute,
+    CFor,
+    CGuard,
+    CondGE,
+    PyEmitter,
+    compile_node_program,
+)
 from repro.decomp import block, block_loop, onto, replicated
 from repro.lang import parse
-from repro.polyhedra import System, var
-from repro.runtime import check_against_sequential, run_spmd
+from repro.polyhedra import System, const, var
+from repro.polyhedra.bexpr import Lin, MaxE, MinE
+from repro.runtime import Machine, check_against_sequential, run_spmd
 
 FIG2 = """
 array X[N + 1]
@@ -304,3 +315,63 @@ class TestPlacementProbeFailsLoudly:
         monkeypatch.setattr(System, "rename", broken_rename)
         with pytest.raises(KeyError, match="building the probe"):
             fig2_spmd()
+
+
+def _idle(proc):
+    return
+    yield
+
+
+class TestRangeKernelLoop:
+    """A pin-free loop the RAW proof rejects is one block call whose
+    bounds absorb the guard's range clip; it must run exactly as the
+    scalar loop with its per-iteration guard."""
+
+    SRC = "array X[N + 1]\nfor i = 1 to N do\n  X[i] = X[i - 1] / 2 + i\n"
+
+    def tree(self, stmt):
+        n, i = var("N"), var("i")
+        guard = CGuard(
+            [CondGE(n - 8), CondGE(i - 5), CondGE(n - 3 - i)],
+            CBlock([CCompute(stmt)]),
+        )
+        return CBlock([CFor(
+            "i",
+            MaxE((Lin(const(1)), Lin(n - 30))),
+            MinE((Lin(n), Lin(const(40)))),
+            CBlock([guard]),
+        )])
+
+    def test_clip_folds_into_flat_bounds(self):
+        (stmt,) = parse(self.SRC).statements()
+        source = PyEmitter(1, ["N"]).source(self.tree(stmt))
+        body = source.splitlines()[-3:]
+        assert body == [
+            "    if (1*N + -8) >= 0:",
+            "        proc.execute_block(_s0, 'i', max((1), (1*N + -30), (5)), "
+            "min((1*N + 0), (40), (1*N + -3)), _env, 1, False)",
+            "    proc.finish()",
+        ]
+
+    @pytest.mark.parametrize("n", [6, 8, 9, 20])
+    def test_runs_as_the_guarded_scalar_loop(self, n):
+        prog = parse(self.SRC)
+        (stmt,) = prog.statements()
+        space = generate_spmd(
+            prog, {stmt.name: block_loop(stmt, ["i"], [64])}
+        ).space
+        params = {"N": n, "P": 1}
+
+        def run(node):
+            return Machine(prog, space, params).run(node)
+
+        scalar, vector = (
+            run(compile_node_program(self.tree(stmt), 1, ["N"], vectorize=v))
+            for v in (False, True)
+        )
+        assert vector.makespan == scalar.makespan
+        assert vector.stats == scalar.stats
+        got, want = vector.arrays[(0,)]["X"], scalar.arrays[(0,)]["X"]
+        assert got.tobytes() == want.tobytes()
+        changed = np.flatnonzero(got != run(_idle).arrays[(0,)]["X"])
+        assert changed.tolist() == (list(range(5, n - 2)) if n >= 8 else [])

@@ -3,7 +3,8 @@
 ``Statement.execute`` and ``run_traced`` are the tree-walking
 references; the generated code (:mod:`repro.ir.kernels`) must equal
 them bit for bit: ``stmt.kernel()`` against ``execute`` on random
-affine statements, and the compiled ``run`` / ``live_out_writes``
+affine statements, ``stmt.range_kernel(var)`` against one ``kernel()``
+call per iterate, and the compiled ``run`` / ``live_out_writes``
 against ``run_traced``'s arrays and final writers, on the five
 conformance programs and on random nests.
 """
@@ -161,6 +162,99 @@ class TestStatementKernel:
         stmt.kernel()(arrays, env)
         assert seen == [env] and seen[0] is env
         assert arrays["A"][4] == 9.0
+
+
+def _scalar_loop(stmt, var, lo, stop, step):
+    """The reference a range kernel must equal: one kernel call per
+    iterate, ``env[var]`` set first, as the scalar node program does."""
+
+    def steps(arrays, env):
+        kernel = stmt.kernel()
+        for v in range(lo, stop, step):
+            env[var] = v
+            kernel(arrays, env)
+
+    return steps
+
+
+def _range(stmt, var, lo, stop, step):
+    def steps(arrays, env):
+        stmt.range_kernel(var)(arrays, env, lo, stop, step)
+
+    return steps
+
+
+class TestRangeKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        statements(),
+        st.integers(0, 2**16),
+        st.sampled_from(["i", "j"]),
+        st.integers(-2, 9),
+        st.integers(0, 6),
+        st.integers(1, 3),
+    )
+    def test_range_equals_kernel_calls(self, stmt, seed, var, lo, n, step):
+        rng = np.random.default_rng(seed)
+        arrays = {
+            "A": rng.uniform(0.5, 2.0, size=40),
+            "B": rng.uniform(-2.0, 2.0, size=(12, 12)),
+        }
+        stop = lo + n * step
+        want = _outcome(_scalar_loop(stmt, var, lo, stop, step), arrays,
+                        dict(ENV))
+        got = _outcome(_range(stmt, var, lo, stop, step), arrays, dict(ENV))
+        assert got == want, stmt.range_kernel(var).__source__
+
+    @pytest.mark.parametrize("lo, stop, step", [
+        (3, 19, 1), (3, 19, 2), (4, 30, 5), (7, 7, 1), (9, 3, 2),
+    ])
+    def test_cond_recurrence_with_steps_and_empty_ranges(self, lo, stop, step):
+        prog = parse(
+            "array X[40]\n"
+            "for i = 3 to 30 do\n"
+            "  if X[i - 3] > X[i - 1] then\n"
+            "    X[i] = f(X[i - 1], X[i - 2]) - i\n"
+        )
+        (stmt,) = prog.statements()
+        assert stmt.fn_spec[0] == "cond"
+        arrays = {"X": np.random.default_rng(1).uniform(0.0, 2.0, 40)}
+        want = _outcome(_scalar_loop(stmt, "i", lo, stop, step), arrays,
+                        {"i": 0})
+        got = _outcome(_range(stmt, "i", lo, stop, step), arrays, {"i": 0})
+        assert got == want
+        if lo >= stop:
+            assert got == {"X": arrays["X"].tobytes()}  # nothing ran
+
+    def test_raw_callable_sees_each_iterate_in_env(self):
+        seen = []
+        stmt = Statement(
+            lhs=Access(A, (LinExpr.var("i"),)),
+            reads=[Access(A, (LinExpr.var("i") - 1,))],
+            fn=lambda values, env: seen.append(dict(env)) or values[0] * 3,
+        )
+        arrays = {"A": np.arange(40.0)}
+        env = {"i": -1, "N": 9}
+        stmt.range_kernel("i")(arrays, env, 4, 11, 3)
+        assert seen == [{"i": 4, "N": 9}, {"i": 7, "N": 9}, {"i": 10, "N": 9}]
+        assert env["i"] == 10
+        assert arrays["A"][[4, 7, 10]].tolist() == [9.0, 18.0, 27.0]
+
+    def test_cached_per_variable_and_never_pickled(self):
+        prog = parse(
+            "array X[9][9]\nfor i = 1 to 8 do\n  for j = 1 to 8 do\n"
+            "    X[i][j] = X[i - 1][j] + X[i][j - 1]\n"
+        )
+        (stmt,) = prog.statements()
+        run_i = stmt.range_kernel("i")
+        assert stmt.range_kernel("i") is run_i
+        assert stmt.range_kernel("j") is not run_i
+        assert stmt.kernel() is not run_i
+        clone = pickle.loads(pickle.dumps(stmt))
+        assert clone._kernel is None
+        arrays = {"X": np.ones((9, 9))}
+        clone.range_kernel("j")(arrays, {"i": 1}, 1, 9, 1)
+        assert arrays["X"][1].tolist() == [1.0] + list(range(2, 10))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ the same fault plan and demand the same run: arrays, clocks, per-rank
 ``ProcStats``, crash events, checkpoint counts, recovery accounting and
 the communication trace.  A guard with exact event counts keeps the
 per-operation fallback from coming back.
+
+Read-after-write recurrences (the fig2 and fig8 shapes) never gather:
+their blocks run the statement's range kernel in scalar order, split
+at the same observable operations, and must match the scalar run down
+to every traced event.
 """
 
 import functools
@@ -32,13 +37,26 @@ from .trace_workloads import (
     canonical_trace,
 )
 
+#: the chaos workloads, plus fig8's statement blocked along ``t``: each
+#: rank runs the whole distance-1..3 recurrence along ``i``, a pin-free
+#: loop (chaos fig8's ``i`` loop has receive/send pins and stays scalar)
+SCENARIOS = dict(
+    chaos.WORKLOADS,
+    fig8_wavefront=chaos.Scenario(
+        name="fig8_wavefront",
+        source=chaos.WORKLOADS["fig8"].source,
+        comps=({"kind": "block", "vars": ["t"], "sizes": [1]},),
+        params=chaos.WORKLOADS["fig8"].params,
+    ),
+)
+
 _SPMD = {}
 
 
 def spmd_for(name, vectorize):
     key = (name, vectorize)
     if key not in _SPMD:
-        base = chaos.WORKLOADS[name]
+        base = SCENARIOS[name]
         _SPMD[key] = chaos.Scenario(
             name=base.name,
             source=base.source,
@@ -51,7 +69,7 @@ def spmd_for(name, vectorize):
 
 def run_both(name, plan, **kw):
     """(scalar, vector) traced runs of workload ``name`` under ``plan``."""
-    params = chaos.WORKLOADS[name].params
+    params = SCENARIOS[name].params
     kw.setdefault("max_restarts", 20)
     return tuple(
         run_spmd(spmd_for(name, vec), params, fault_plan=plan, trace=True,
@@ -77,12 +95,12 @@ def assert_same_fault_run(scalar, vector, label):
 
 @functools.lru_cache(maxsize=None)
 def fault_free_clocks(name):
-    params = chaos.WORKLOADS[name].params
+    params = SCENARIOS[name].params
     return run_spmd(spmd_for(name, False), params).clocks
 
 
 def rank_order(name):
-    params = chaos.WORKLOADS[name].params
+    params = SCENARIOS[name].params
     space = spmd_for(name, True).space
     return sorted(tuple(c) for c in space.all_physical(params))
 
@@ -93,7 +111,7 @@ def mid_block_span(name, rank, frac, **kw):
     its last one), in a crash-free run under the same options --
     checkpoint charges shift the timeline, so the span is found with
     them in place.  None for workloads with no such segment."""
-    params = chaos.WORKLOADS[name].params
+    params = SCENARIOS[name].params
     run = run_spmd(spmd_for(name, True), params, trace=True, **kw)
     spans = [
         e for e in run.trace.per_rank(rank)
@@ -112,7 +130,7 @@ def crash_time(name, rank, frac, **kw):
     span = mid_block_span(name, rank, frac, **kw)
     if span is not None:
         return (span.start + span.end) / 2
-    params = chaos.WORKLOADS[name].params
+    params = SCENARIOS[name].params
     return frac * run_spmd(spmd_for(name, True), params, **kw).clocks[rank]
 
 
@@ -266,3 +284,96 @@ def test_block_charge_exact_from_a_fractional_clock(name):
         machine = Machine(spmd.program, spmd.space, params)
         runs.append(machine.run(node))
     assert_identical_runs(*runs, label=name)
+
+
+# ---------------------------------------------------------------------------
+# read-after-write recurrences: range-kernel blocks under faults
+# ---------------------------------------------------------------------------
+
+#: workloads whose compute loop the RAW proof keeps in scalar order
+RAW = ("fig2", "fig8_wavefront")
+
+#: every fault axis a range-kernel block must split at; each runs one
+#: scheduled crash inside a block, so recovery replays up to a cut
+RAW_AXES = {
+    "every_ops": CheckpointPolicy(every_ops=5),
+    "interval": CheckpointPolicy(interval=97.3),
+    "every_ops_and_interval": CheckpointPolicy(every_ops=11, interval=151.9),
+    "baseline_cut_only": None,
+}
+
+
+def mid_range_op(name, rank, frac, **kw):
+    """A compute event of ``rank`` at or after ``frac`` of its lifetime
+    whose neighbours abut it on both sides -- an operation strictly
+    inside one block -- in a crash-free run under the same options."""
+    params = SCENARIOS[name].params
+    run = run_spmd(spmd_for(name, True), params, trace=True, **kw)
+    ops = [e for e in run.trace.per_rank(rank) if e.kind == "compute"]
+    assert ops and all(e.count == 1 for e in ops), name  # never gathered
+    inner = [
+        b for a, b, c in zip(ops, ops[1:], ops[2:])
+        if a.end == b.start and b.end == c.start
+        and b.start >= frac * run.clocks[rank]
+    ]
+    return inner[0]
+
+
+class TestRawRecurrenceUnderFaults:
+    @pytest.mark.parametrize("axis", sorted(RAW_AXES))
+    @pytest.mark.parametrize("name", RAW)
+    def test_scalar_equals_range_kernel(self, name, axis):
+        """Arrays, ProcStats, clocks, crash and recovery accounting and
+        the *whole* trace (every compute event included) agree."""
+        policy = RAW_AXES[axis]
+        kw = {} if policy is None else dict(checkpoint=policy)
+        assert ", False)" in spmd_for(name, True).source
+        rank = rank_order(name)[-1]
+        op = mid_range_op(name, rank, 0.55, **kw)
+        when = (op.start + op.end) / 2
+        scalar, vector = run_both(name, FaultPlan(crashes={rank: when}), **kw)
+        label = f"{name} {axis}"
+        assert_same_fault_run(scalar, vector, label)
+        assert vector.trace.normalized() == scalar.trace.normalized(), label
+        assert vector.restarts == 1, label
+        (crash,) = vector.crash_events
+        assert crash.model_time == op.end, label
+        if policy is not None:
+            assert vector.checkpoints > 0, label
+
+    @pytest.mark.parametrize(
+        "name, seed, rate", [("fig2", 0, 0.05), ("fig8_wavefront", 9, 0.2)]
+    )
+    def test_random_crashes_and_corrupt_snapshots(self, name, seed, rate):
+        """Random crashes at communication calls, recovering past
+        rejected snapshots to older cuts inside range-kernel blocks."""
+        plan = FaultPlan(
+            seed=seed, crash_rate=rate, checkpoint_corrupt_rate=0.5
+        )
+        scalar, vector = run_both(
+            name, plan, checkpoint=CheckpointPolicy(every_ops=5)
+        )
+        assert_same_fault_run(scalar, vector, name)
+        assert vector.trace.normalized() == scalar.trace.normalized(), name
+        assert vector.restarts > 0 and vector.snapshots_rejected > 0, name
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    every_ops=st.integers(1, 40),
+    frac=st.floats(0.05, 0.95),
+    last=st.booleans(),
+)
+def test_fig2_fault_runs_match_for_any_cadence_and_crash(every_ops, frac, last):
+    """Property: fig2's range-kernel blocks under any ``every_ops``
+    cadence and any scheduled crash instant run identically to the
+    scalar loop, trace included."""
+    clocks = fault_free_clocks("fig2")
+    rank = sorted(clocks)[-1 if last else 0]
+    plan = FaultPlan(crashes={rank: frac * clocks[rank]})
+    scalar, vector = run_both(
+        "fig2", plan, checkpoint=CheckpointPolicy(every_ops=every_ops)
+    )
+    assert vector.restarts == 1
+    assert_same_fault_run(scalar, vector, f"every_ops={every_ops}")
+    assert vector.trace.normalized() == scalar.trace.normalized()

@@ -72,7 +72,9 @@ class TestCodegenEquivalence:
     def test_vectorized_lu_actually_vectorizes(self):
         """Guard against the sweep silently degenerating: LU must
         compile to block execution, and fig2's self-dependent compute
-        must not (distance-3 RAW makes gather-before-scatter wrong)."""
+        must never be gathered (distance-3 RAW makes
+        gather-before-scatter wrong): it is a range-kernel block call,
+        and every compute it runs is traced as one scalar operation."""
         lu = compiled_spmd("lu", vectorize=True)
         assert "proc.execute_block(" in lu.source
         fig2 = compiled_spmd("fig2", vectorize=True)
@@ -80,7 +82,14 @@ class TestCodegenEquivalence:
             ln for ln in fig2.source.splitlines() if "execute" in ln
         ]
         assert compute_lines
-        assert all("execute_stmt" in ln for ln in compute_lines)
+        assert all(
+            "proc.execute_block(" in ln and ln.endswith(", False)")
+            for ln in compute_lines
+        )
+        _build, params = WORKLOADS["fig2"]
+        run = run_spmd(fig2, params, trace=True)
+        counts = [e.count for e in run.trace.by_kind("compute")]
+        assert counts and set(counts) == {1}
 
     def test_initial_data_layouts_survive_codegen_modes(self):
         """Overlap layouts + preload communication through both
