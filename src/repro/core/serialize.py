@@ -42,7 +42,9 @@ from typing import Dict
 #: bump whenever the meaning or layout of serialized artifacts changes;
 #: a mismatch on load raises :class:`SerializeError`, which the disk
 #: cache treats as a miss.  2: the served/analysis two-record layout.
-SCHEMA_VERSION = 2
+#: 3: node programs call range kernels for loops kept in scalar order,
+#: so a store written by the older emitter is orphaned, not served.
+SCHEMA_VERSION = 3
 
 #: version of the canonical renderings (:func:`canonical_bytes`,
 #: :func:`job_key`); independent of the blob layout, so a layout change

@@ -41,7 +41,7 @@ class TestRequests:
         resp = server.handle_request(_compile_req(id=7))
         assert resp["ok"] and resp["id"] == 7
         assert "send" in resp["code"]
-        assert resp["schema_version"] == 2
+        assert resp["schema_version"] == 3
         assert resp["from_cache"] is False
 
     def test_served_code_matches_direct_compile(self, server):
