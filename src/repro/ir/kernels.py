@@ -32,7 +32,7 @@ cache them on the owning object and keep them out of pickled state.
 from __future__ import annotations
 
 import keyword
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .loops import Statement
 from .program import Program
@@ -170,12 +170,16 @@ def _build(ns: _Namespace, lines: List[str], name: str, label: str):
     return fn
 
 
-def compile_kernel(stmt: Statement) -> Callable:
-    """``kernel(arrays, env)``: one instance of ``stmt``, as
-    :meth:`Statement.execute` runs it."""
+def _instance(
+    stmt: Statement, loop_var: Optional[str]
+) -> Tuple[_Namespace, List[str], List[str]]:
+    """(namespace, header, body) of one instance of ``stmt``: the header
+    reads every subscript variable but ``loop_var`` (which the caller
+    binds, or None) from ``env`` once, up front, then binds the arrays;
+    the body is indented for a ``for`` over ``loop_var`` when given."""
     ns = _Namespace()
     header: List[str] = []
-    bound: set = set()
+    bound = set() if loop_var is None else {ns.local("v", loop_var)}
 
     def var(name):
         local = ns.local("v", name)
@@ -194,11 +198,19 @@ def compile_kernel(stmt: Statement) -> Callable:
         for expr in access.indices:
             for name, _ in expr.terms():
                 var(name)
-    body = _statement(stmt, ns, var, env_var, "env", "    ")
-    arrays = [
+    pad = "    " if loop_var is None else "        "
+    body = _statement(stmt, ns, var, env_var, "env", pad)
+    header += [
         f"    {ns.local('a', a)} = arrays[{a!r}]" for a in _arrays_of([stmt])
     ]
-    lines = ["def kernel(arrays, env):", *header, *arrays, *body]
+    return ns, header, body
+
+
+def compile_kernel(stmt: Statement) -> Callable:
+    """``kernel(arrays, env)``: one instance of ``stmt``, as
+    :meth:`Statement.execute` runs it."""
+    ns, header, body = _instance(stmt, None)
+    lines = ["def kernel(arrays, env):", *header, *body]
     return _build(ns, lines, "kernel", f"kernel {stmt.name}")
 
 
@@ -209,37 +221,13 @@ def compile_range_kernel(stmt: Statement, loop_var: str) -> Callable:
     iterate would run it.  ``loop_var`` is a Python local; the other
     subscript variables are read from ``env`` once, up front.  A raw
     ``fn`` gets ``env[loop_var]`` written before each call."""
-    ns = _Namespace()
-    header: List[str] = []
-    bound: set = set()
+    ns, header, body = _instance(stmt, loop_var)
     loop = ns.local("v", loop_var)
-
-    def var(name):
-        local = ns.local("v", name)
-        if local != loop and local not in bound:
-            bound.add(local)
-            header.append(f"    {local} = env[{name!r}]")
-        return local
-
-    def env_var(name):
-        local = ns.local("v", name)
-        return local if local == loop or local in bound else f"env[{name!r}]"
-
-    for access in (*stmt.reads, stmt.lhs):
-        for expr in access.indices:
-            for name, _ in expr.terms():
-                var(name)
-    body = []
     if stmt.fn_spec is None:
-        body.append(f"        env[{loop_var!r}] = {loop}")
-    body += _statement(stmt, ns, var, env_var, "env", "        ")
-    arrays = [
-        f"    {ns.local('a', a)} = arrays[{a!r}]" for a in _arrays_of([stmt])
-    ]
+        body.insert(0, f"        env[{loop_var!r}] = {loop}")
     lines = [
         "def run(arrays, env, lo, stop, step):",
         *header,
-        *arrays,
         f"    for {loop} in range(lo, stop, step):",
         *body,
     ]

@@ -343,10 +343,9 @@ class Processor:
         if hi < lo:
             return
         n = (hi - lo) // step + 1
-        if gather and (
-            n < 4 or not self._vector_safe(stmt, var, lo, step, env)
-        ):
-            gather = False
+        gather = (
+            gather and n >= 4 and self._vector_safe(stmt, var, lo, step, env)
+        )
         skip = min(n, self._ff_target - self._pc)
         if skip > 0:
             self._pc += skip - 1
