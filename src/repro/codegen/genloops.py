@@ -70,45 +70,51 @@ def _wrap_level(
 ) -> CNode:
     STATS.codegen_loops_emitted += 1
     inner_block = inner if isinstance(inner, CBlock) else CBlock([inner])
+    degenerate = loop.is_degenerate()
+    if degenerate:
+        lower = upper = loop.assignment
+    else:
+        lower, upper = loop.lower_expr(), loop.upper_expr()
     if loop.var in virt_dims:
         # A virtual-processor level must check residence even when it
         # is pinned to a single value: the single-value stride loop
         # executes exactly when that virtual processor lives here.
         dim, rank = virt_dims[loop.var]
-        if loop.is_degenerate():
-            node: CNode = CVirtLoop(
-                loop.var,
-                loop.assignment,
-                loop.assignment,
-                dim,
-                rank,
-                inner_block,
-            )
-            if loop.div_guard is not None:
-                expr, mod = loop.div_guard
-                node = CGuard([CondDiv(expr, mod)], CBlock([node]))
-            return node
-        return CVirtLoop(
-            loop.var,
-            loop.lower_expr(),
-            loop.upper_expr(),
-            dim,
-            rank,
-            inner_block,
-        )
-    if loop.is_degenerate():
-        block = CBlock([CAssign(loop.var, loop.assignment), inner_block])
-        if loop.div_guard is not None:
-            expr, mod = loop.div_guard
-            return CGuard([CondDiv(expr, mod)], block)
-        return block
-    return CFor(
-        loop.var,
-        loop.lower_expr(),
-        loop.upper_expr(),
-        inner_block,
-        step=loop.step,
-    )
+        node: CNode = CVirtLoop(loop.var, lower, upper, dim, rank, inner_block)
+        guarded = CBlock([node])
+    elif not degenerate:
+        return CFor(loop.var, lower, upper, inner_block, step=loop.step)
+    else:
+        node = guarded = CBlock([CAssign(loop.var, lower), inner_block])
+    if not degenerate or loop.div_guard is None:
+        return node
+    expr, mod = loop.div_guard
+    return CGuard([CondDiv(expr, mod)], guarded)
+
+
+def _nest(
+    result: ScanResult,
+    start: int,
+    leaf: CNode,
+    virt_dims: Dict[str, Tuple[int, int]],
+    end: Optional[int] = None,
+) -> CNode:
+    """Scan levels ``start..end`` as loops around ``leaf``."""
+    node = leaf
+    for loop in reversed(result.loops[start:end]):
+        node = _wrap_level(loop, node, virt_dims)
+    return node
+
+
+def _guarded(result: ScanResult, skip: int, tree: CNode) -> CNode:
+    """``tree`` under the scan's own guards plus membership checks for
+    the ``skip`` leading levels that enclosing code enumerates."""
+    conds = guards_from_system(result.guards)
+    conds.extend(prefix_guards(result.loops[:skip]))
+    block = tree if isinstance(tree, CBlock) else CBlock([tree])
+    if conds:
+        return CGuard(conds, block)
+    return block
 
 
 def scan_to_cast(
@@ -124,20 +130,7 @@ def scan_to_cast(
     ``virt_dims``: maps a loop variable to ``(dim, rank)``; that level
     strides over this physical processor's virtual processors.
     """
-    virt_dims = virt_dims or {}
-    conds = guards_from_system(result.guards)
-    conds.extend(prefix_guards(result.loops[:skip]))
-
-    def build(level: int) -> CNode:
-        if level == len(result.loops):
-            return body
-        return _wrap_level(result.loops[level], build(level + 1), virt_dims)
-
-    tree = build(skip)
-    block = tree if isinstance(tree, CBlock) else CBlock([tree])
-    if conds:
-        return CGuard(conds, block)
-    return block
+    return _guarded(result, skip, _nest(result, skip, body, virt_dims or {}))
 
 
 def scan_to_cast_with_boundary(
@@ -160,24 +153,11 @@ def scan_to_cast_with_boundary(
         send buf
     """
     virt_dims = virt_dims or {}
-    conds = guards_from_system(result.guards)
-    conds.extend(prefix_guards(result.loops[:skip]))
 
     def build_content(leaf: CNode) -> CNode:
-        def rec(level: int) -> CNode:
-            if level == len(result.loops):
-                return leaf
-            return _wrap_level(result.loops[level], rec(level + 1), virt_dims)
+        return _nest(result, boundary, leaf, virt_dims)
 
-        return rec(boundary)
-
-    def build(level: int) -> CNode:
-        if level == boundary:
-            return CBlock(at_boundary(build_content))
-        return _wrap_level(result.loops[level], build(level + 1), virt_dims)
-
-    tree = build(skip)
-    block = tree if isinstance(tree, CBlock) else CBlock([tree])
-    if conds:
-        return CGuard(conds, block)
-    return block
+    outer = _nest(
+        result, skip, CBlock(at_boundary(build_content)), virt_dims, boundary
+    )
+    return _guarded(result, skip, outer)
