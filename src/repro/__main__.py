@@ -23,7 +23,6 @@ from . import (
     DeadlockError,
     FaultPlan,
     TransportError,
-    block_loop,
     check_against_sequential,
     generate_spmd,
     last_write_tree,
@@ -31,6 +30,7 @@ from . import (
 )
 from .codegen import SPMDOptions
 from .core import communication_report, compile_distributed
+from .decomp import comps_from_blocks
 from .dataflow import all_dependences
 from .polyhedra import stats as poly_stats
 
@@ -50,26 +50,25 @@ def _parse_defs(defs: List[str]) -> Dict[str, int]:
 
 def _build_comps(program, blocks: List[str]):
     """--block i=32 [j=8 ...]: block-distribute those loops everywhere."""
-    specs = []
-    for item in blocks or []:
-        name, _, size = item.partition("=")
-        specs.append((name, int(size)))
-    if not specs:
+    if not blocks:
         raise SystemExit("--block LOOPVAR=SIZE is required for this command")
-    comps = {}
-    space = None
-    for stmt in program.statements():
-        vars_ = [v for v, _s in specs if v in stmt.iter_vars]
-        sizes = [s for v, s in specs if v in stmt.iter_vars]
-        if len(vars_) != len(specs):
+    sizes: Dict[str, int] = {}
+    for item in blocks:
+        name, _, size = item.partition("=")
+        try:
+            value = int(size)
+        except ValueError:
+            value = None
+        if not name or value is None or name in sizes:
             raise SystemExit(
-                f"statement {stmt.name} lacks blocked loop(s) "
-                f"{[v for v, _ in specs]}"
+                f"--block {item!r}: expected VAR=SIZE with an integer "
+                "SIZE, each loop once"
             )
-        comp = block_loop(stmt, vars_, sizes, space=space)
-        space = comp.space
-        comps[stmt.name] = comp
-    return comps
+        sizes[name] = value
+    try:
+        return comps_from_blocks(program, sizes)
+    except ValueError as exc:
+        raise SystemExit(f"--block: {exc}") from None
 
 
 def cmd_analyze(args) -> int:

@@ -6,6 +6,7 @@ from .computation import (
     CompDecomp,
     CompRule,
     block_loop,
+    comps_from_blocks,
     onto,
     owner_computes,
 )
@@ -31,6 +32,7 @@ __all__ = [
     "block",
     "block_cyclic",
     "block_loop",
+    "comps_from_blocks",
     "cyclic",
     "dim_placeholders",
     "onto",

@@ -168,6 +168,33 @@ def block_loop(
     return CompDecomp(stmt, space, rules, name="block_loop")
 
 
+def comps_from_blocks(program, blocks: Dict[str, int]) -> Dict[str, CompDecomp]:
+    """Block-distribute the named loops of every statement in one shared
+    processor space.  Every block size must be a positive ``int``; a
+    bool, a float or a string is refused rather than rounded or
+    coerced, and every statement must have every named loop."""
+    if not blocks or not isinstance(blocks, dict):
+        raise ValueError("request needs a non-empty 'blocks' mapping")
+    for var, size in blocks.items():
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(
+                f"block size of loop {var!r} must be a positive "
+                f"integer, not {size!r}"
+            )
+    comps = {}
+    space = None
+    for stmt in program.statements():
+        missing = [v for v in blocks if v not in stmt.iter_vars]
+        if missing:
+            raise ValueError(
+                f"statement {stmt.name} lacks blocked loop(s) {missing}"
+            )
+        comp = block_loop(stmt, list(blocks), list(blocks.values()), space=space)
+        space = comp.space
+        comps[stmt.name] = comp
+    return comps
+
+
 def owner_computes(stmt: Statement, decomp: DataDecomp) -> CompDecomp:
     """Theorem 1: derive C from D via the owner-computes rule.
 

@@ -39,38 +39,9 @@ from typing import Dict, List, Optional
 
 from ..codegen import SPMDOptions
 from ..core import compiler as _compiler
-from ..decomp import block_loop
+from ..decomp import comps_from_blocks
 from ..lang import parse
 from ..polyhedra import diskcache
-
-
-def comps_from_blocks(program, blocks: Dict[str, int]):
-    """Block-distribute the named loops of every statement (the same
-    decomposition ``repro compile --block`` builds).  Every block size
-    must be a positive ``int``; a bool, a float or a string is refused
-    rather than rounded or coerced."""
-    if not blocks or not isinstance(blocks, dict):
-        raise ValueError("request needs a non-empty 'blocks' mapping")
-    for var, size in blocks.items():
-        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
-            raise ValueError(
-                f"block size of loop {var!r} must be a positive "
-                f"integer, not {size!r}"
-            )
-    comps = {}
-    space = None
-    for stmt in program.statements():
-        vars_ = [v for v in blocks if v in stmt.iter_vars]
-        if len(vars_) != len(blocks):
-            missing = [v for v in blocks if v not in stmt.iter_vars]
-            raise ValueError(
-                f"statement {stmt.name} lacks blocked loop(s) {missing}"
-            )
-        sizes = [blocks[v] for v in vars_]
-        comp = block_loop(stmt, vars_, sizes, space=space)
-        space = comp.space
-        comps[stmt.name] = comp
-    return comps
 
 
 def options_from_dict(overrides: Optional[Dict]) -> SPMDOptions:

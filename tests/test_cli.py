@@ -111,6 +111,21 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["compile", program_file])
 
+    @pytest.mark.parametrize("item, reason", [
+        ("i=0", "must be a positive integer, not 0"),
+        ("i=-4", "must be a positive integer, not -4"),
+        ("i", "expected VAR=SIZE"),
+    ])
+    def test_bad_block_item_exits_with_one_line(self, program_file, item,
+                                                reason):
+        """A malformed or non-positive --block item is refused by the
+        same checks the compile server applies, as a one-line message
+        rather than a traceback."""
+        with pytest.raises(SystemExit) as info:
+            main(["compile", program_file, "--block", item])
+        message = str(info.value.code)
+        assert reason in message and "\n" not in message
+
     def test_no_aggregate_flag(self, program_file, capsys):
         assert (
             main(
