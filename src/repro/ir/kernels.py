@@ -22,6 +22,9 @@ The printer has four users:
 * :func:`compile_live_out` -- the same nest recording, per written
   location, the ``(statement index, iteration)`` of its last write.
 
+:func:`gatherable` walks the same AST to decide whether the kernel may
+run on an index vector (the runtime's gathered block path).
+
 Each operation happens in the reference's order on the reference's
 operand types: all reads first (``cond`` statements read everything
 eagerly), then the right-hand side left to right, then the store.
@@ -232,6 +235,30 @@ def compile_range_kernel(stmt: Statement, loop_var: str) -> Callable:
         *body,
     ]
     return _build(ns, lines, "run", f"range kernel {stmt.name} {loop_var}")
+
+
+def gatherable(stmt: Statement) -> bool:
+    """Does :func:`compile_kernel`'s kernel, run once with an index
+    vector bound to one loop variable, store what one call per element
+    would?  Only for an ``expr`` right-hand side without an opaque
+    call: its reads become fancy indexing and its operators numpy
+    elementwise arithmetic.  An opaque call and a raw ``fn`` are scalar
+    Python, and a ``cond`` spec prints a conditional expression that an
+    array cannot drive, so those statements always run in scalar
+    order."""
+    from ..lang import parser as ast  # cycle: lang builds on ir
+
+    spec = stmt.fn_spec
+    if spec is None or spec[0] != "expr":
+        return False
+    stack = [spec[1]]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ECall):
+            return False
+        if isinstance(node, (ast.EBin, ast.ECmp)):
+            stack += (node.left, node.right)
+    return True
 
 
 def _nest(program: Program, record_writes: bool) -> Tuple[_Namespace, List[str]]:

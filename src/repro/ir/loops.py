@@ -42,13 +42,6 @@ class Statement:
     loops: Tuple["Loop", ...] = field(default_factory=tuple)
     path: Tuple[int, ...] = field(default_factory=tuple)
 
-    #: vectorized-execution verdict for the runtime's block path.
-    #: ``None`` (the default) lets the runtime probe ``fn`` once on a
-    #: small numpy block and cache the verdict here; ``True`` asserts
-    #: ``fn`` maps elementwise over numpy arrays, ``False`` pins the
-    #: scalar loop.
-    vector_fn: Optional[bool] = None
-
     #: picklable recipe for rebuilding ``fn`` (the parser's RHS AST; see
     #: :func:`repro.lang.parser.compile_fn_spec`).  ``fn`` itself is a
     #: closure and cannot be pickled; statements with an ``fn_spec``
@@ -60,6 +53,9 @@ class Statement:
     #: :meth:`kernel`, ``{var: run}`` for each :meth:`range_kernel`;
     #: never pickled (a class default, not a field)
     _kernel = None
+
+    #: :meth:`gatherable`'s verdict, computed on first use; never pickled
+    _gather = None
 
     def __post_init__(self):
         # unnamed statements get "S<k>" when the owning Program finalizes
@@ -107,6 +103,17 @@ class Statement:
         first use and cached on the instance per loop variable."""
         return self._generated(var)
 
+    def gatherable(self) -> bool:
+        """Does :meth:`kernel` with an index vector bound to a loop
+        variable compute every instance at once, element for element
+        (see :func:`repro.ir.kernels.gatherable`)?  Computed on first
+        use and cached on the instance."""
+        if self._gather is None:
+            from .kernels import gatherable  # cycle: kernels uses loops
+
+            self._gather = gatherable(self)
+        return self._gather
+
     def _generated(self, var: Optional[str]) -> Callable:
         cache = self._kernel
         if cache is None:
@@ -137,12 +144,13 @@ class Statement:
 
     # -- pickling ---------------------------------------------------------
     # ``fn`` is a closure; the AST recipe in ``fn_spec`` stands in for it
-    # on the wire and is recompiled on load.  Generated kernels are
-    # dropped too (rebuilt on first use after load).
+    # on the wire and is recompiled on load.  Generated kernels and the
+    # gather verdict are dropped too (rebuilt on first use after load).
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("_kernel", None)
+        state.pop("_gather", None)
         if state.get("fn_spec") is not None:
             state["fn"] = None
         return state

@@ -336,16 +336,15 @@ class Processor:
         coming due, or this rank's scheduled crash time.  Random crash
         draws, stalls and receive-log replay happen only at
         communication calls, so a fault-free block is one segment.
-        Blocks shorter than 4, and statements whose ``fn`` is not
-        vector-safe (``Statement.vector_fn`` hook, probed once and
-        cached), run range-kernel segments even when ``gather`` is set.
+        Blocks shorter than 4, and statements that are not
+        :meth:`~repro.ir.Statement.gatherable` (a raw ``fn``, an opaque
+        call, a ``cond`` right-hand side), run range-kernel segments
+        even when ``gather`` is set.
         """
         if hi < lo:
             return
         n = (hi - lo) // step + 1
-        gather = (
-            gather and n >= 4 and self._vector_safe(stmt, var, lo, step, env)
-        )
+        gather = gather and n >= 4 and stmt.gatherable()
         skip = min(n, self._ff_target - self._pc)
         if skip > 0:
             self._pc += skip - 1
@@ -451,49 +450,6 @@ class Processor:
                 ctime += cost
         self.clock = clock
         stats.compute_time = ctime
-
-    def _vector_safe(self, stmt, var, lo, step, env) -> bool:
-        verdict = stmt.vector_fn
-        if verdict is None:
-            verdict = self._probe_vector_fn(stmt, var, lo, step, env)
-            stmt.vector_fn = verdict
-        return bool(verdict)
-
-    def _probe_vector_fn(self, stmt, var, lo, step, env) -> bool:
-        """Does ``stmt.fn`` map elementwise over numpy blocks?
-
-        Runs the block's first two iterations both ways (without
-        writing) and demands bitwise-equal results; opaque scalar
-        functions (``math.*`` calls, data-dependent branches) raise or
-        diverge on the size-2 array and pin the scalar loop.
-        """
-        arrays = self.arrays
-        penv = dict(env)
-        scalar = []
-        try:
-            for k in range(2):
-                penv[var] = lo + k * step
-                vals = [
-                    arrays[a.array.name][a.evaluate(penv)]
-                    for a in stmt.reads
-                ]
-                scalar.append(stmt.fn(vals, penv))
-            penv[var] = lo + np.arange(2) * step
-            vals = [
-                arrays[a.array.name][a.evaluate(penv)] for a in stmt.reads
-            ]
-            out = np.asarray(stmt.fn(vals, penv))
-            if out.shape not in ((), (2,)):
-                return False
-            return bool(
-                np.array_equal(
-                    np.broadcast_to(out, (2,)),
-                    np.asarray(scalar, dtype=np.float64),
-                    equal_nan=True,
-                )
-            )
-        except Exception:
-            return False
 
     def send(self, dest: Tuple[int, ...], tag: tuple, payload: List[float]):
         if self._advance():

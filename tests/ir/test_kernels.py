@@ -150,6 +150,29 @@ class TestStatementKernel:
         clone.kernel()(arrays, {"i": 3})
         assert arrays["X"][3] == 3.0
 
+    def test_gatherable_only_for_call_free_expressions(self):
+        """Only an ``expr`` right-hand side without an opaque call may
+        run on an index vector; the verdict is cached and never
+        pickled."""
+        prog = parse(
+            "array X[9]\narray Y[9]\n"
+            "for i = 1 to 8 do\n"
+            "  s1: X[i] = X[i - 1] * 2 + i\n"
+            "  s2: Y[i] = X[i] + g(X[i - 1])\n"
+            "  if X[i] > 1 then\n"
+            "    s3: Y[i] = X[i]\n"
+        )
+        s1, s2, s3 = prog.statements()
+        assert (s1.gatherable(), s2.gatherable(), s3.gatherable()) == (
+            True, False, False,
+        )
+        assert pickle.loads(pickle.dumps(s1))._gather is None
+        raw = Statement(
+            lhs=Access(A, (LinExpr.var("i"),)), reads=[],
+            fn=lambda values, env: 1.0,
+        )
+        assert not raw.gatherable()
+
     def test_raw_callable_receives_the_callers_env(self):
         seen = []
         stmt = Statement(

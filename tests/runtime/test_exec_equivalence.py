@@ -91,6 +91,50 @@ class TestCodegenEquivalence:
         counts = [e.count for e in run.trace.by_kind("compute")]
         assert counts and set(counts) == {1}
 
+    def test_opaque_and_cond_statements_run_range_segments(self):
+        """Three RAW-free loops the emitter marks gather-eligible: the
+        plain expression is gathered, while the opaque call and the
+        conditional store (not :meth:`Statement.gatherable`) run range
+        segments, one traced operation each, and the whole run equals
+        scalar execution."""
+        program = parse(
+            "array A[N + 1]\narray B[N + 1]\n"
+            "array C[N + 1]\narray D[N + 1]\n"
+            "for i = 0 to N do\n  s1: B[i] = A[i] * 2 + 1\n"
+            "for j = 0 to N do\n  s2: C[j] = f(A[j], B[j])\n"
+            "for k = 0 to N do\n  if A[k] > B[k] - 3 then\n"
+            "    s3: D[k] = B[k] - A[k]\n",
+            name="mixed",
+        )
+        assert [s.gatherable() for s in program.statements()] == [
+            True, False, False,
+        ]
+        comps, space = {}, None
+        for stmt in program.statements():
+            comps[stmt.name] = block_loop(
+                stmt, stmt.iter_vars, [8], space=space
+            )
+            space = comps[stmt.name].space
+        spmd = {
+            vec: generate_spmd(
+                program, comps, options=SPMDOptions(vectorize=vec)
+            )
+            for vec in (False, True)
+        }
+        calls = [
+            ln for ln in spmd[True].source.splitlines() if "execute" in ln
+        ]
+        assert len(calls) == 3
+        assert all(ln.endswith(", 1)") for ln in calls), calls
+        params = {"N": 30, "P": 4}
+        vector = run_spmd(spmd[True], params, trace=True)
+        assert_identical_runs(run_spmd(spmd[False], params), vector, "mixed")
+        counts = {}
+        for event in vector.trace.by_kind("compute"):
+            counts.setdefault(event.stmt, set()).add(event.count)
+        assert max(counts["s1"]) > 1
+        assert counts["s2"] == counts["s3"] == {1}
+
     def test_initial_data_layouts_survive_codegen_modes(self):
         """Overlap layouts + preload communication through both
         codegen modes."""
